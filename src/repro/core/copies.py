@@ -36,12 +36,18 @@ independent instances of a static sketch, one active at a time.  The
   are views into the stack, so per-item updates and individual queries
   keep working unchanged, and every result is bit-for-bit identical to
   the per-object path.  Any code that swaps a copy object while stacks
-  are live must go through :meth:`CopyManager.install`.
+  are live must go through :meth:`CopyManager.install`;
+* **shards** — :meth:`CopyManager.shard` wraps a contiguous range of
+  the copies in a manager of its own, with the groups cut at the range
+  ends and restacked; a process-engine worker drives its shard of the
+  copies through one.
 
 The band decision itself lives in :mod:`repro.core.bands`; the drive
 loop in :mod:`repro.core.sketch_switching`.  :class:`LocalCopyBackend`
-is the in-process realisation of the copy-backend interface the drive
-loop talks to (the process engine provides the forked-worker twin).
+is the one implementation of the copy-backend interface the drive loop
+talks to: the serial paths run it on the estimator's manager, and every
+process-engine worker runs it on its shard (the engine's proxy only
+forwards calls, see :mod:`repro.engine.executor`).
 """
 
 from __future__ import annotations
@@ -64,6 +70,18 @@ class SketchExhaustedError(RuntimeError):
     Under the theorems' preconditions this happens only with probability
     delta; in experiments it signals an undersized ``copies`` parameter.
     """
+
+
+def _query_planes(out: np.ndarray, stack, planes, positions) -> None:
+    """Write the estimates of ``planes`` of ``stack`` to ``out[positions]``.
+
+    More than one plane costs one vectorized ``query_all`` reduction; a
+    single plane reads its template directly (same value, bit for bit).
+    """
+    if len(planes) > 1:
+        out[positions] = stack.query_all()[planes]
+    else:
+        out[positions[0]] = stack.sketches[planes[0]].query()
 
 
 class CopyManager:
@@ -101,9 +119,18 @@ class CopyManager:
     ):
         if copies < 1:
             raise ValueError(f"copies must be >= 1, got {copies}")
+        rngs = spawn_rngs(rng, copies + 1)
+        self._init(
+            [factory(r) for r in rngs[:copies]], ((0, copies),), (factory,),
+            rngs[copies], restart, on_exhausted, stacked,
+        )
+
+    def _init(self, sketches, slices, factories, fresh_rng, restart,
+              on_exhausted, stacked) -> None:
+        """Adopt already-built copies: the one initializer behind
+        ``__init__``, :meth:`grouped` and :meth:`shard`."""
         if on_exhausted not in ("raise", "clamp"):
             raise ValueError(f"unknown on_exhausted mode {on_exhausted!r}")
-        self.factory = factory
         self.restart = restart
         self.on_exhausted = on_exhausted
         #: Telemetry hub for the whole switching stack: the estimator,
@@ -111,13 +138,16 @@ class CopyManager:
         #: installing an enabled bundle here makes every protocol seam
         #: observable.  Defaults to the no-op singleton.
         self.telemetry = NULL_TELEMETRY
-        rngs = spawn_rngs(rng, copies + 1)
-        self._fresh_rng = rngs[copies]
-        self.sketches: list[Sketch] = [factory(r) for r in rngs[:copies]]
+        self._fresh_rng = fresh_rng
+        self.sketches: list[Sketch] = list(sketches)
         #: Contiguous (lo, hi) index range per copy group; one group for
         #: the homogeneous manager, tiers-then-strong for grouped sets.
-        self.group_slices: tuple[tuple[int, int], ...] = ((0, copies),)
-        self._group_factories: tuple[SketchFactory, ...] = (factory,)
+        self.group_slices: tuple[tuple[int, int], ...] = tuple(slices)
+        self._group_factories: tuple[SketchFactory, ...] = tuple(factories)
+        #: The last group's factory (the strong group of a grouped set);
+        #: ungrouped surfaces that build whole-set replacements must go
+        #: through `factory_for`.
+        self.factory = self._group_factories[-1]
         #: Monotone activation counter; the active slot is ``rho % count``.
         self.rho = 0
         self._stack_enabled = stacked
@@ -149,32 +179,49 @@ class CopyManager:
             require_count(f"group {g} copy count", count)
         specs = [(factory, int(count)) for factory, count in specs]
         total = sum(count for _, count in specs)
-        self = cls.__new__(cls)
-        self.restart = False
-        if on_exhausted not in ("raise", "clamp"):
-            raise ValueError(f"unknown on_exhausted mode {on_exhausted!r}")
-        self.on_exhausted = on_exhausted
-        self.telemetry = NULL_TELEMETRY
         rngs = spawn_rngs(rng, total + 1)
-        self._fresh_rng = rngs[total]
-        self.sketches = []
-        slices = []
-        start = 0
+        sketches, slices = [], []
         for factory, count in specs:
-            self.sketches.extend(
-                factory(r) for r in rngs[start:start + count]
-            )
-            slices.append((start, start + count))
-            start += count
-        self.group_slices = tuple(slices)
-        self._group_factories = tuple(factory for factory, _ in specs)
-        #: The strong (last) group's factory; ungrouped surfaces that
-        #: build whole-set replacements must go through `factory_for`.
-        self.factory = self._group_factories[-1]
-        self.rho = 0
-        self._stack_enabled = stacked
-        self._build_stacks()
+            lo = len(sketches)
+            sketches.extend(factory(r) for r in rngs[lo:lo + count])
+            slices.append((lo, lo + count))
+        self = cls.__new__(cls)
+        self._init(sketches, slices, [factory for factory, _ in specs],
+                   rngs[total], False, on_exhausted, stacked)
         return self
+
+    def shard(self, indices) -> "CopyManager":
+        """A manager over the contiguous copy range ``indices``.
+
+        What a process-engine worker drives: it adopts this manager's
+        sketch objects as they are (no reseeding), with the group slices
+        intersected with the range and renumbered from 0, so
+        :meth:`factory_for` takes shard-local indices, and a group keeps
+        at least two of its copies in the shard stacks again (unless
+        ``stacked=False`` was set here).  A shard draws no replacement
+        RNGs — the coordinator derives them and forwards each through
+        ``replace`` — so it has no fresh pool.  Stacking rebinds the
+        adopted objects' arrays to the shard's own stacks, out of reach
+        of this manager's; hence only a forked worker, holding its own
+        copies of the objects, shards a live manager.
+        """
+        idxs = list(indices)
+        if not idxs or idxs != list(range(idxs[0], idxs[0] + len(idxs))):
+            raise ValueError("a shard must be a non-empty contiguous range")
+        start, stop = idxs[0], idxs[-1] + 1
+        if stop > len(self.sketches):
+            raise IndexError(f"copy index {stop - 1} out of range")
+        slices, factories = [], []
+        for (lo, hi), factory in zip(self.group_slices,
+                                     self._group_factories):
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                slices.append((lo - start, hi - start))
+                factories.append(factory)
+        sub = CopyManager.__new__(CopyManager)
+        sub._init(self.sketches[start:stop], slices, factories, None,
+                  self.restart, self.on_exhausted, self._stack_enabled)
+        return sub
 
     # -- stacked copy groups --------------------------------------------
 
@@ -245,23 +292,6 @@ class CopyManager:
             self.stacks[g].install(plane, sketch)
         self.sketches[idx] = sketch
 
-    def unstack(self) -> None:
-        """Detach every stack, returning all copies to owned arrays.
-
-        The process engine calls this before forking so each worker
-        inherits plain per-object copies of its shard; :meth:`restack`
-        rebuilds the stacks after the workers' results are collected.
-        """
-        for stack in self.stacks.values():
-            stack.detach()
-        self.stacks = {}
-        self._plane_of = {}
-
-    def restack(self) -> None:
-        """Rebuild stacks over the current copies (no-op if already live)."""
-        if not self.stacks:
-            self._build_stacks()
-
     @property
     def count(self) -> int:
         return len(self.sketches)
@@ -317,17 +347,10 @@ class CopyManager:
         if indices is None:
             indices = range(len(self.sketches))
         idxs = list(indices)
-        if not self.stacks:
-            return np.array(
-                [self.sketches[i].query() for i in idxs], dtype=np.float64
-            )
         out = np.empty(len(idxs), dtype=np.float64)
         parts, rest = self.stack_plan(idxs)
         for stack, planes, positions in parts:
-            if len(planes) > 1:
-                out[positions] = stack.query_all()[planes]
-            else:
-                out[positions[0]] = stack.sketches[planes[0]].query()
+            _query_planes(out, stack, planes, positions)
         for pos, idx in rest:
             out[pos] = self.sketches[idx].query()
         return out
@@ -417,10 +440,10 @@ class CopyManager:
 class LocalCopyBackend:
     """In-process copy backend: feeds and snapshots act on the manager.
 
-    One of the two realisations of the copy-backend interface the
-    switching protocol drives (the other lives in
-    :mod:`repro.engine.executor` and shards the copies across forked
-    workers).  Methods come in two groups: *probed-copy probe/search*
+    The copy backend the switching protocol drives, in process or
+    inside each process-engine worker over its shard (the engine's
+    proxy in :mod:`repro.engine.executor` forwards the same calls).
+    Methods come in two groups: *probed-copy probe/search*
     ops, which snapshot/feed/step the copies the estimator's probe
     discipline reads (the active copy alone under
     :class:`~repro.core.disciplines.ActiveCopyDiscipline`, every copy
@@ -488,107 +511,99 @@ class LocalCopyBackend:
         """Prepared chunk for ``raw[lo:hi]``, hashing each chunk once.
 
         Subranges (crossing-search bisection, catch-up replays) are
-        derived from one full-chunk ``prepare`` by gathering the slice's
-        hash columns (:meth:`SketchStack.subset`), so a crossing costs
-        one stacked hash pass instead of one per bisection round.
+        derived from one full-chunk prep by gathering the slice's hash
+        columns (:meth:`SketchStack.subset`), so a crossing costs one
+        stacked hash pass instead of one per bisection round.  Only the
+        full-chunk prep is cached: a crossing chunk asks for dozens of
+        distinct subranges, each about once.
         """
-        key = ("raw", id(stack), lo, hi)
-        prep = self._prep.get(key)
-        if prep is not None:
-            return prep
-        full_len = len(self._items)
-        if lo == 0 and hi == full_len:
-            prep = stack.prepare(self._items, self._deltas)
-        else:
-            full_key = ("raw", id(stack), 0, full_len)
-            full = self._prep.get(full_key)
-            if full is None:
-                full = stack.prepare(self._items, self._deltas)
-                self._prep[full_key] = full
-            prep = stack.subset(
-                full, self._items[lo:hi], self._deltas[lo:hi]
-            )
-        self._prep[key] = prep
-        return prep
+        key = ("raw", id(stack))
+        full = self._prep.get(key)
+        if full is None:
+            full = self._prepare_range(stack, 0, len(self._items), None)
+            self._prep[key] = full
+        if lo == 0 and hi == len(self._items):
+            return full
+        return self._prepare_range(stack, lo, hi, full)
 
-    def _snapshot_probes(self, probes: tuple[int, ...]) -> dict:
-        """Composite snapshot: stacked planes as one array copy each."""
-        parts, rest = self._copies.stack_plan(probes)
-        return {
-            "stacks": [(stack, stack.save(planes)) for stack, planes, _ in parts],
-            "objects": [
-                (idx, self._copies.sketches[idx].snapshot()) for _, idx in rest
-            ],
-        }
+    def _prepare_range(self, stack, lo: int, hi: int, full):
+        """Prep of ``raw[lo:hi]``; ``full`` is the whole chunk's, if built."""
+        items, deltas = self._items[lo:hi], self._deltas[lo:hi]
+        if full is None:
+            return stack.prepare(items, deltas)
+        return stack.subset(full, items, deltas)
+
+    def _feed_probes(self, probes, prep, feed_object,
+                     save: bool = False) -> np.ndarray:
+        """Feed the probed copies one staged range; return their estimates.
+
+        ``prep(stack)`` gives the stacked groups' prepared chunk and
+        ``feed_object(sketch)`` feeds a copy on the object path.  With
+        ``save`` the probed copies are snapshotted first, as one record
+        that :meth:`keep_probed` drops and :meth:`roll_probed` restores.
+        """
+        copies = self._copies
+        ys = np.empty(len(probes), dtype=np.float64)
+        parts, rest = copies.stack_plan(probes)
+        record = {"stacks": [], "objects": []}
+        for stack, planes, positions in parts:
+            if save:
+                record["stacks"].append((stack, stack.save(planes)))
+            stack.feed(prep(stack), planes)
+            _query_planes(ys, stack, planes, positions)
+        for pos, idx in rest:
+            sk = copies.sketches[idx]
+            if save:
+                record["objects"].append((idx, sk.snapshot()))
+            feed_object(sk)
+            ys[pos] = sk.query()
+        if save:
+            self._snap_stack.append(record)
+        return ys
+
+    def _feed_others(self, exclude, prep, feed_object) -> None:
+        """Feed every copy outside ``exclude`` one staged range."""
+        copies = self._copies
+        excluded = set(exclude)
+        others = [i for i in range(copies.count) if i not in excluded]
+        parts, rest = copies.stack_plan(others)
+        for stack, planes, _ in parts:
+            stack.feed(prep(stack), planes)
+        for _, idx in rest:
+            feed_object(copies.sketches[idx])
+
+    def _step_stack(self, stack, planes, item: int, delta: int) -> None:
+        """One per-item update on some planes of a stack.
+
+        Per-item mutation stays on the templates (in-place writes flow
+        through the plane views); subclasses may vectorize it.
+        """
+        for p in planes:
+            stack.sketches[p].update(item, delta)
 
     # -- probed-copy probe/search ops -----------------------------------
 
     def probe_sub(
         self, items, deltas, assume_unique: bool, probes: tuple[int, ...]
     ) -> np.ndarray:
-        self._sub = (items, deltas)
-        self._sub_unique = assume_unique
-        self._prep.clear()
-        copies = self._copies
-        ys = np.empty(len(probes), dtype=np.float64)
-        if not copies.stacks:
-            snaps = []
-            for pos, idx in enumerate(probes):
-                sk = copies.sketches[idx]
-                snaps.append((idx, sk.snapshot()))
-                self._feed_one(sk, items, deltas, assume_unique)
-                ys[pos] = sk.query()
-            self._snap_stack.append({"stacks": [], "objects": snaps})
-            return ys
-        parts, rest = copies.stack_plan(probes)
-        record = {"stacks": [], "objects": []}
-        for stack, planes, positions in parts:
-            record["stacks"].append((stack, stack.save(planes)))
-            prep = self._prepared(("sub", id(stack)), stack, items, deltas)
-            stack.feed(prep, planes)
-            if len(planes) > 1:
-                ys[positions] = stack.query_all()[planes]
-            else:
-                ys[positions[0]] = stack.sketches[planes[0]].query()
-        for pos, idx in rest:
-            sk = copies.sketches[idx]
-            record["objects"].append((idx, sk.snapshot()))
-            self._feed_one(sk, items, deltas, assume_unique)
-            ys[pos] = sk.query()
-        self._snap_stack.append(record)
-        return ys
+        self.stage_sub(items, deltas, assume_unique)
+        return self._feed_probes(
+            probes,
+            lambda stack: self._prepared(("sub", id(stack)), stack,
+                                         items, deltas),
+            lambda sk: self._feed_one(sk, items, deltas, assume_unique),
+            save=True,
+        )
 
     def probe_raw(self, probes: tuple[int, ...]) -> np.ndarray:
         self._sub = None
-        copies = self._copies
         items, deltas = self._items, self._deltas
-        ys = np.empty(len(probes), dtype=np.float64)
-        if not copies.stacks:
-            snaps = []
-            for pos, idx in enumerate(probes):
-                sk = copies.sketches[idx]
-                snaps.append((idx, sk.snapshot()))
-                sk.update_batch(items, deltas)
-                ys[pos] = sk.query()
-            self._snap_stack.append({"stacks": [], "objects": snaps})
-            return ys
-        parts, rest = copies.stack_plan(probes)
-        record = {"stacks": [], "objects": []}
-        for stack, planes, positions in parts:
-            record["stacks"].append((stack, stack.save(planes)))
-            prep = self._raw_prepared(stack, 0, len(items))
-            stack.feed(prep, planes)
-            if len(planes) > 1:
-                ys[positions] = stack.query_all()[planes]
-            else:
-                ys[positions[0]] = stack.sketches[planes[0]].query()
-        for pos, idx in rest:
-            sk = copies.sketches[idx]
-            record["objects"].append((idx, sk.snapshot()))
-            sk.update_batch(items, deltas)
-            ys[pos] = sk.query()
-        self._snap_stack.append(record)
-        return ys
+        return self._feed_probes(
+            probes,
+            lambda stack: self._raw_prepared(stack, 0, len(items)),
+            lambda sk: sk.update_batch(items, deltas),
+            save=True,
+        )
 
     def keep_probed(self, probes: tuple[int, ...]) -> None:
         self._snap_stack.pop()
@@ -601,55 +616,35 @@ class LocalCopyBackend:
             self._copies.install(idx, snap)
 
     def snap_probed(self, probes: tuple[int, ...]) -> None:
-        self._snap_stack.append(self._snapshot_probes(probes))
+        parts, rest = self._copies.stack_plan(probes)
+        self._snap_stack.append({
+            "stacks": [(stack, stack.save(planes))
+                       for stack, planes, _ in parts],
+            "objects": [
+                (idx, self._copies.sketches[idx].snapshot()) for _, idx in rest
+            ],
+        })
 
     def feed_probed(
         self, lo: int, hi: int, probes: tuple[int, ...]
     ) -> np.ndarray:
         items, deltas = self._items[lo:hi], self._deltas[lo:hi]
-        copies = self._copies
-        ys = np.empty(len(probes), dtype=np.float64)
-        if not copies.stacks:
-            for pos, idx in enumerate(probes):
-                sk = copies.sketches[idx]
-                sk.update_batch(items, deltas)
-                ys[pos] = sk.query()
-            return ys
-        parts, rest = copies.stack_plan(probes)
-        for stack, planes, positions in parts:
-            prep = self._raw_prepared(stack, lo, hi)
-            stack.feed(prep, planes)
-            if len(planes) > 1:
-                ys[positions] = stack.query_all()[planes]
-            else:
-                ys[positions[0]] = stack.sketches[planes[0]].query()
-        for pos, idx in rest:
-            sk = copies.sketches[idx]
-            sk.update_batch(items, deltas)
-            ys[pos] = sk.query()
-        return ys
+        return self._feed_probes(
+            probes,
+            lambda stack: self._raw_prepared(stack, lo, hi),
+            lambda sk: sk.update_batch(items, deltas),
+        )
 
     def step_probed(self, pos: int, probes: tuple[int, ...]) -> np.ndarray:
         item, delta = int(self._items[pos]), int(self._deltas[pos])
         copies = self._copies
         ys = np.empty(len(probes), dtype=np.float64)
-        if not copies.stacks:
-            for i, idx in enumerate(probes):
-                sk = copies.sketches[idx]
-                sk.update(item, delta)
-                ys[i] = sk.query()
-            return ys
-        # Per-item mutation stays on the templates (in-place writes flow
-        # through the plane views), but the per-copy query reductions
-        # collapse into one stacked pass per group.
+        # The per-copy query reductions collapse into one stacked pass
+        # per group.
         parts, rest = copies.stack_plan(probes)
         for stack, planes, positions in parts:
-            for p in planes:
-                stack.sketches[p].update(item, delta)
-            if len(planes) > 1:
-                ys[positions] = stack.query_all()[planes]
-            else:
-                ys[positions[0]] = stack.sketches[planes[0]].query()
+            self._step_stack(stack, planes, item, delta)
+            _query_planes(ys, stack, planes, positions)
         for i, idx in rest:
             sk = copies.sketches[idx]
             sk.update(item, delta)
@@ -680,45 +675,29 @@ class LocalCopyBackend:
 
     def feed_others_sub(self, exclude: tuple[int, ...]) -> None:
         items, deltas = self._sub
-        copies = self._copies
-        if not copies.stacks:
-            excluded = set(exclude)
-            for idx, s in enumerate(copies.sketches):
-                if idx not in excluded:
-                    self._feed_one(s, items, deltas, self._sub_unique)
-            return
-        excluded = set(exclude)
-        others = [i for i in range(copies.count) if i not in excluded]
-        parts, rest = copies.stack_plan(others)
-        for stack, planes, _ in parts:
-            prep = self._prepared(("sub", id(stack)), stack, items, deltas)
-            stack.feed(prep, planes)
-        for _, idx in rest:
-            self._feed_one(copies.sketches[idx], items, deltas, self._sub_unique)
+        self._feed_others(
+            exclude,
+            lambda stack: self._prepared(("sub", id(stack)), stack,
+                                         items, deltas),
+            lambda sk: self._feed_one(sk, items, deltas, self._sub_unique),
+        )
 
     def feed_others_raw(self, exclude: tuple[int, ...]) -> None:
         self.catch_up(0, len(self._items), exclude)
 
     def catch_up(self, lo: int, hi: int, exclude: tuple[int, ...]) -> None:
         items, deltas = self._items[lo:hi], self._deltas[lo:hi]
-        copies = self._copies
-        if not copies.stacks:
-            excluded = set(exclude)
-            for idx, s in enumerate(copies.sketches):
-                if idx not in excluded:
-                    s.update_batch(items, deltas)
-            return
-        excluded = set(exclude)
-        others = [i for i in range(copies.count) if i not in excluded]
-        parts, rest = copies.stack_plan(others)
-        for stack, planes, _ in parts:
-            prep = self._raw_prepared(stack, lo, hi)
-            stack.feed(prep, planes)
-        for _, idx in rest:
-            copies.sketches[idx].update_batch(items, deltas)
+        self._feed_others(
+            exclude,
+            lambda stack: self._raw_prepared(stack, lo, hi),
+            lambda sk: sk.update_batch(items, deltas),
+        )
 
     def replace(self, idx: int, rng: np.random.Generator) -> None:
         self._copies.install(idx, self._copies.factory_for(idx)(rng))
+        # Prepared chunks carry per-plane hash columns, and a reseeded
+        # copy hashes differently.
+        self._prep.clear()
 
     def fetch(self, idx: int) -> Sketch:
         """The copy at ``idx`` (epoch wrappers snapshot it for publishing)."""
@@ -755,8 +734,6 @@ def universe_licensed(
     ``cap`` elements.
     """
     if universe is None or universe < 1 or not unit_deltas:
-        return False
-    if not copies.stacks:
         return False
     return any(
         getattr(stack, "supports_universe", False)
@@ -804,8 +781,6 @@ class UniverseLocalBackend(LocalCopyBackend):
         self._ucols: dict[int, object] = {}
         #: id(stack) -> whether the vectorized leaf step is safe.
         self._fast: dict[int, bool] = {}
-        #: (lo, hi) -> bincount of the staged slice over the universe.
-        self._counts: dict[tuple[int, int], np.ndarray] = {}
 
     def _universe_cols(self, stack):
         cols = self._ucols.get(id(stack))
@@ -833,59 +808,34 @@ class UniverseLocalBackend(LocalCopyBackend):
             self._fast[id(stack)] = flag
         return flag
 
-    def _range_counts(self, lo: int, hi: int) -> np.ndarray:
-        key = (lo, hi)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = np.bincount(self._items[lo:hi], minlength=self.universe)
-            if len(counts) > self.universe:
-                raise ValueError(
-                    f"staged chunk contains items >= universe {self.universe}; "
-                    "the chunk source's universe promise is violated"
-                )
-            self._counts[key] = counts
-        return counts
-
-    def stage(self, items: np.ndarray, deltas: np.ndarray) -> None:
-        super().stage(items, deltas)
-        self._counts.clear()
-
-    def _raw_prepared(self, stack, lo: int, hi: int):
+    def _prepare_range(self, stack, lo: int, hi: int, full):
         cols = self._universe_cols(stack)
         if cols is None:
-            return super()._raw_prepared(stack, lo, hi)
-        key = ("raw", id(stack), lo, hi)
-        prep = self._prep.get(key)
-        if prep is None:
-            prep = stack.prepare_counts(cols, self._range_counts(lo, hi))
-            self._prep[key] = prep
-        return prep
+            return super()._prepare_range(stack, lo, hi, full)
+        counts = np.bincount(self._items[lo:hi], minlength=self.universe)
+        if len(counts) > self.universe:
+            raise ValueError(
+                f"staged chunk contains items >= universe {self.universe}; "
+                "the chunk source's universe promise is violated"
+            )
+        return stack.prepare_counts(cols, counts)
 
-    def step_probed(self, pos: int, probes: tuple[int, ...]) -> np.ndarray:
-        copies = self._copies
-        if not copies.stacks:
-            return super().step_probed(pos, probes)
-        item, delta = int(self._items[pos]), int(self._deltas[pos])
-        ys = np.empty(len(probes), dtype=np.float64)
-        parts, rest = copies.stack_plan(probes)
-        for stack, planes, positions in parts:
-            if self._step_fast(stack):
-                stack.step_item(self._universe_cols(stack), item, delta, planes)
-            else:
-                for p in planes:
-                    stack.sketches[p].update(item, delta)
-            if len(planes) > 1:
-                ys[positions] = stack.query_all()[planes]
-            else:
-                ys[positions[0]] = stack.sketches[planes[0]].query()
-        for i, idx in rest:
-            sk = copies.sketches[idx]
-            sk.update(item, delta)
-            ys[i] = sk.query()
-        return ys
+    def replace(self, idx: int, rng: np.random.Generator) -> None:
+        super().replace(idx, rng)
+        hit = self._copies._plane_of.get(idx)
+        if hit is not None:
+            stack = self._copies.stacks[hit[0]]
+            cols = self._ucols.get(id(stack))
+            if cols is not None:
+                stack.refresh_universe(cols, hit[1])
+
+    def _step_stack(self, stack, planes, item: int, delta: int) -> None:
+        if self._step_fast(stack):
+            stack.step_item(self._universe_cols(stack), item, delta, planes)
+        else:
+            super()._step_stack(stack, planes, item, delta)
 
     def close(self) -> None:
         super().close()
         self._ucols.clear()
         self._fast.clear()
-        self._counts.clear()

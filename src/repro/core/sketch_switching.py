@@ -428,8 +428,6 @@ class SwitchingProtocol:
         self._seen = seen_filter
         self._aggregate_once = aggregate_once
         self._unique_hint = unique_hint
-        self._items: np.ndarray | None = None
-        self._deltas: np.ndarray | None = None
         self._tele = estimator._copies.telemetry
         #: Cumulative per-phase wall seconds, measured once per chunk (and
         #: once per switch segment on crossing chunks): probing the
@@ -466,13 +464,48 @@ class SwitchingProtocol:
     def _feed_one(
         self, items: np.ndarray, deltas: np.ndarray, aggregated=None
     ) -> None:
-        count = len(items)
+        if len(items) == 0:
+            return
+        self._backend.stage(items, deltas)
+        self._feed_staged(len(items), items, deltas, aggregated)
+
+    def feed_spec(self, count: int) -> None:
+        """Ingest one chunk the coordinator never materializes.
+
+        The spec-shipped entry point next to :meth:`feed`: the workers
+        hold the chunk (regenerated or memmapped from a broadcast
+        :class:`~repro.streams.sources.ChunkSource` spec), so the
+        coordinator drives the protocol knowing only the chunk *length*.
+        ``backend.stage_spec(count)`` advances every worker's local
+        source by one chunk; from there the raw-region ops — boundary
+        probe, fan-out feed, bisection, leaf steps — all work by
+        position against the workers' local arrays, exactly as on the
+        bytes path.  The coordinator-side hoists (seen filter,
+        aggregate-once) need the arrays and are structurally off here;
+        the planner never enables them for a spec session.
+        """
         if count == 0:
             return
+        if self._seen is not None or self._aggregate_once:
+            raise RuntimeError(
+                "spec-shipped chunks cannot run coordinator-side hoists; "
+                "build the protocol with seen_filter=None, "
+                "aggregate_once=False"
+            )
+        self._backend.stage_spec(count)
+        self._feed_staged(count)
+
+    def _feed_staged(
+        self, count: int, items=None, deltas=None, aggregated=None
+    ) -> None:
+        """Drive one staged chunk: probe, band test, fan out or resolve.
+
+        ``items``/``deltas`` are the chunk's arrays when the coordinator
+        holds them (they feed the hoists); a spec-shipped chunk passes
+        only its length and takes the raw probe.
+        """
         sw = self._sw
         sw._ingested = True
-        self._backend.stage(items, deltas)
-        self._items, self._deltas = items, deltas
         if count <= REPLAY_LEAF:
             # Tiny chunks replay per item with the band checked every
             # update (no chunk-level coalescing), like the per-item path.
@@ -541,74 +574,6 @@ class SwitchingProtocol:
             return
         # Crossed somewhere inside: rewind the probed copies and resolve
         # the switch positions exactly on the raw updates.
-        self._backend.roll_probed(probes)
-        self._drive_raw(0, count)
-
-    def feed_spec(self, count: int) -> None:
-        """Ingest one chunk the coordinator never materializes.
-
-        The spec-shipped twin of :meth:`feed`: the workers hold the
-        chunk (regenerated or memmapped from a broadcast
-        :class:`~repro.streams.sources.ChunkSource` spec), so the
-        coordinator drives the protocol knowing only the chunk *length*.
-        ``backend.stage_spec(count)`` advances every worker's local
-        source by one chunk; from there the raw-region ops — boundary
-        probe, fan-out feed, bisection, leaf steps — all work by
-        position against the workers' local arrays, so this mirrors
-        :meth:`_feed_one`'s raw branch op for op and stays bit-for-bit
-        equivalent.  The coordinator-side hoists (seen filter,
-        aggregate-once) need the arrays and are structurally off here;
-        the planner never enables them for a spec session.
-        """
-        if count == 0:
-            return
-        if self._seen is not None or self._aggregate_once:
-            raise RuntimeError(
-                "spec-shipped chunks cannot run coordinator-side hoists; "
-                "build the protocol with seen_filter=None, "
-                "aggregate_once=False"
-            )
-        if count > self._backend.capacity:
-            raise ValueError(
-                f"spec chunk of {count} updates exceeds backend capacity "
-                f"{self._backend.capacity}"
-            )
-        sw = self._sw
-        sw._ingested = True
-        self._backend.stage_spec(count)
-        self._items = self._deltas = None
-        if count <= REPLAY_LEAF:
-            self._drive_raw(0, count)
-            return
-        timings = self.timings
-        probes = self._probes()
-        tick = time.perf_counter()
-        ys = self._backend.probe_raw(probes)
-        tock = time.perf_counter()
-        timings["probe"] += tock - tick
-        y = self._disc.decide(ys)
-        clean = self._band.within(sw._published, y)
-        tick = time.perf_counter()
-        timings["band_test"] += tick - tock
-        tele = self._tele
-        if tele.enabled:
-            tele.emit(BandTestEvent(
-                clean=clean, published=sw._published, estimate=y,
-            ))
-            tele.metrics.counter(
-                "protocol_band_tests_total", "chunk-boundary band tests"
-            ).inc()
-            if not clean:
-                tele.metrics.counter(
-                    "protocol_crossing_chunks_total",
-                    "chunks resolved by exact replay",
-                ).inc()
-        if clean:
-            self._backend.keep_probed(probes)
-            if len(probes) < self._copies.count:
-                self._backend.feed_others_raw(probes)
-            timings["feed"] += time.perf_counter() - tick
-            return
         self._backend.roll_probed(probes)
         self._drive_raw(0, count)
 

@@ -13,10 +13,15 @@ plans of :mod:`repro.engine.shards` two ways:
 * :class:`ProcessEngine` — copies (or merge partials) live in forked
   worker processes; chunks travel through shared-memory buffers (one
   ``memcpy`` in, zero copies out), and only tiny protocol messages cross
-  the command pipes.  Requires the ``fork`` start method (the workers
-  inherit sketch state and factories by address space, not pickling);
-  anywhere ``fork`` is unavailable the engine degrades to the serial
-  path, bit-for-bit.
+  the command pipes.  Each switching worker wraps its contiguous shard
+  of the copies in a :meth:`~repro.core.copies.CopyManager.shard` —
+  stacked copy groups included — and hosts the same
+  :class:`~repro.core.copies.LocalCopyBackend` the serial paths run;
+  the coordinator's :class:`_ProcessCopyBackend` only forwards backend
+  calls and merges the replies.  Requires the ``fork`` start method (the
+  workers inherit sketch state and factories by address space, not
+  pickling); anywhere ``fork`` is unavailable the engine degrades to the
+  serial path, bit-for-bit.
 
 Both engines drive the **same**
 :class:`~repro.core.sketch_switching.SwitchingProtocol` that serial
@@ -25,13 +30,14 @@ estimator's :class:`~repro.core.bands.BandPolicy` whether the boundary
 estimate ``band.crossed(...)`` the publish band, and the protocol
 resolves crossings by snapshot bisection of the active copy — per-item
 exact for bisectable bands, cell-granularity coalescing for the
-additive band (see :mod:`repro.core.bands`).  The engines
-differ from ``update_chunk`` only in *where the copies live* (a
-:class:`~repro.core.copies.LocalCopyBackend` versus forked workers) and
-in the shard plan's shared-work hoists; published outputs, switch
-counts, and restart RNG draws agree across serial chunked, SerialEngine,
-and ProcessEngine by construction — one drive loop, one band
-implementation, one coordinator-side replacement-RNG derivation.  This
+additive band (see :mod:`repro.core.bands`).  The engines differ from
+``update_chunk`` only in *where the copies live* (a
+:class:`~repro.core.copies.LocalCopyBackend` in process, or one per
+forked worker) and in the shard plan's shared-work hoists; published
+outputs, switch counts, and restart RNG draws agree across serial
+chunked, SerialEngine, and ProcessEngine by construction — one drive
+loop, one band implementation, one copy backend, one coordinator-side
+replacement-RNG derivation.  This
 covers every band policy: multiplicative (F0/Fp/L2), additive (entropy,
 previously stuck on the serial path), and the heavy-hitters epoch
 construction (:class:`EpochShardPlan`: the inner L2 switcher is driven
@@ -100,165 +106,103 @@ class EngineError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
-def _switching_worker(conn, copies, factories, views, unique_hint: bool,
-                      worker_id: int = 0, trace: bool = False) -> None:
-    """Forked worker: owns a shard of copies, obeys coordinator commands.
+#: Backend methods whose result a worker sends back.  Every other
+#: forwarded call is fire-and-forget; ``probe_sub`` replies through the
+#: ``"sub"`` staging message that carries it.
+_REPLIES = frozenset(
+    {"probe_raw", "feed_probed", "step_probed", "scan_probed", "fetch"}
+)
 
-    ``copies`` is a list of ``[global_index, sketch]`` pairs inherited
-    through fork; ``factories`` maps each owned global index to the
-    factory that rebuilds it (heterogeneous under grouped copy sets —
-    a difference-ladder tier copy and a strong copy rebuild
-    differently); ``views`` maps region name -> (items, deltas) NumPy
-    views over the shared-memory buffers.  Commands arrive in order per
-    pipe, which is the only ordering the protocol relies on; probe/search
-    commands name the *probed* copies this worker owns (the active copy
-    under the active-copy discipline, this worker's slice of the probed
-    group under the aggregate disciplines' group fan-out) and replies
-    carry ``(index, estimate)`` pairs so the coordinator can reassemble
-    the probe set in discipline order.  Band policies arrive inside the
-    scan command (small frozen dataclasses), so the worker resolves a
-    per-item crossing with the coordinator's exact predicate.
 
-    Telemetry: per-command wall seconds are always accumulated into a
+def _switching_worker(conn, copies: CopyManager, indices, views,
+                      unique_hint: bool, worker_id: int = 0,
+                      trace: bool = False) -> None:
+    """Forked worker: hosts a LocalCopyBackend over its shard of copies.
+
+    ``copies`` is the coordinator's manager, inherited through fork; the
+    worker wraps the contiguous ``indices`` it owns in a shard manager
+    (:meth:`CopyManager.shard`, which stacks every group keeping at
+    least two copies in the shard) and runs the same
+    :class:`~repro.core.copies.LocalCopyBackend` the serial paths run.
+    Copy indices in every message are shard-local; the coordinator's
+    proxy translates them.  ``views`` maps region name -> (items,
+    deltas) NumPy views over the shared-memory buffers.
+
+    Messages arrive in order per pipe, which is the only ordering the
+    protocol relies on.  A forwarded backend call is ``(method, args)``
+    and is answered only for the methods in :data:`_REPLIES`.  The
+    control messages are:
+
+    * ``("raw", count, ack)`` — stage ``raw[:count]``; with ``ack`` the
+      reply is the coordinator's fence before it rewrites the buffer;
+    * ``("sub", count, unit, assume_unique, probes)`` — stage
+      ``sub[:count]`` (deltas all 1 when ``unit``) through ``stage_sub``,
+      or through ``probe_sub`` with a reply when ``probes`` is given;
+    * ``("source", spec)`` / ``("adv", count)`` — build the chunk-source
+      materializer, then stage its next chunk;
+    * ``("span", id)`` / ``("obs",)`` — telemetry tags and drain;
+    * ``("collect",)`` / ``("stop",)``.
+
+    Telemetry: the wall seconds of every call in
+    :attr:`~repro.obs.WorkerTelemetry.PHASE_OF` accumulate into a
     :class:`~repro.obs.WorkerTelemetry` buffer (feeding
     ``IngestReport.phase_seconds``'s ``worker_*`` keys); with ``trace``
-    on, the coordinator tags each staged chunk via a fire-and-forget
-    ``("span", id)`` command and the buffer turns the ops between two
-    tags into one ``worker-chunk`` span.  Everything ships back in the
-    ``("obs",)`` reply at collect time — workers never write to the
-    coordinator's sinks (a forked ``Telemetry`` may hold an open file).
+    on, the calls between two ``span`` tags become one ``worker-chunk``
+    span.  Everything ships back in the ``("obs",)`` reply at collect
+    time — workers never write to the coordinator's sinks (a forked
+    ``Telemetry`` may hold an open file).
     """
     obs = WorkerTelemetry(worker_id, trace)
-
-    def lookup(idx):
-        for slot in copies:
-            if slot[0] == idx:
-                return slot
-        raise RuntimeError(f"copy {idx} not owned by this worker")
-
-    def slice_of(region, lo, hi, unit):
-        items, deltas = views[region]
-        return items[lo:hi], (None if unit else deltas[lo:hi])
-
-    # Stack of probed-copy snapshot lists: [[(idx, snapshot), ...], ...]
-    snap_stack: list = []
     # Spec-shipped sessions: the materializer iterator built from the
     # broadcast spec; each ("adv", count) pulls the next chunk locally.
     chunk_iter = None
     try:
+        shard = copies.shard(indices)
+        backend = LocalCopyBackend(shard, unique_hint)
         while True:
             msg = conn.recv()
             op = msg[0]
-            if op == "span":
-                obs.begin_span(msg[1])
-                continue
-            if op == "obs":
-                conn.send(("ok", obs.drain()))
-                continue
-            if op == "source":
-                chunk_iter = source_from_spec(msg[1]).chunks()
-                continue
-            timed = op in WorkerTelemetry.PHASE_OF
-            tick = time.perf_counter() if timed else 0.0
-            if op == "adv":
-                # Materialize the next chunk from the local source and
-                # expose it as this worker's "raw" region; every other
-                # op (probe/feed/afeed/astep/ascan) then works on it
-                # unchanged, by region + position.
-                _, count = msg
+            tick = time.perf_counter()
+            if op == "raw":
+                _, count, ack = msg
+                items, deltas = views["raw"]
+                backend.stage(items[:count], deltas[:count])
+                if ack:
+                    conn.send(("ok", None))
+            elif op == "sub":
+                _, count, unit, assume_unique, probes = msg
+                items, deltas = views["sub"]
+                items = items[:count]
+                deltas = None if unit else deltas[:count]
+                if probes is None:
+                    backend.stage_sub(items, deltas, assume_unique)
+                else:
+                    op = "probe_sub"
+                    conn.send(("ok", backend.probe_sub(
+                        items, deltas, assume_unique, probes)))
+            elif op == "adv":
                 chunk = next(chunk_iter)
-                if len(chunk.items) != count:
+                if len(chunk.items) != msg[1]:
                     raise RuntimeError(
                         f"chunk source yielded {len(chunk.items)} updates, "
-                        f"coordinator expected {count}"
+                        f"coordinator expected {msg[1]}"
                     )
-                views["raw"] = (chunk.items, chunk.deltas)
-            elif op == "feed":
-                # Feed every owned copy except the probed `exclude` set
-                # (which took the same updates through probe/search ops;
-                # an empty exclude feeds all, the uniform-ring case).
-                _, region, lo, hi, unit, assume_unique, exclude = msg
-                its, dts = slice_of(region, lo, hi, unit)
-                excluded = set(exclude)
-                for i, s in copies:
-                    if i in excluded:
-                        continue
-                    if assume_unique and unique_hint:
-                        s.update_batch(its, dts, assume_unique=True)
-                    else:
-                        s.update_batch(its, dts)
-            elif op == "probe":
-                _, region, lo, hi, unit, assume_unique, probed = msg
-                its, dts = slice_of(region, lo, hi, unit)
-                snaps, out = [], []
-                for idx in probed:
-                    slot = lookup(idx)
-                    snaps.append((idx, slot[1].snapshot()))
-                    if assume_unique and unique_hint:
-                        slot[1].update_batch(its, dts, assume_unique=True)
-                    else:
-                        slot[1].update_batch(its, dts)
-                    out.append((idx, slot[1].query()))
-                snap_stack.append(snaps)
-                conn.send(("ok", out))
-            elif op == "akeep":
-                snap_stack.pop()
-            elif op == "aroll":
-                for idx, snap in snap_stack.pop():
-                    lookup(idx)[1] = snap
-            elif op == "asnap":
-                _, probed = msg
-                snap_stack.append(
-                    [(idx, lookup(idx)[1].snapshot()) for idx in probed]
-                )
-            elif op == "afeed":
-                _, lo, hi, probed = msg
-                its, dts = slice_of("raw", lo, hi, False)
-                out = []
-                for idx in probed:
-                    slot = lookup(idx)
-                    slot[1].update_batch(its, dts)
-                    out.append((idx, slot[1].query()))
-                conn.send(("ok", out))
-            elif op == "astep":
-                _, pos, probed = msg
-                items, deltas = views["raw"]
-                item, delta = int(items[pos]), int(deltas[pos])
-                out = []
-                for idx in probed:
-                    sk = lookup(idx)[1]
-                    sk.update(item, delta)
-                    out.append((idx, sk.query()))
-                conn.send(("ok", out))
-            elif op == "ascan":
-                _, lo, hi, active, published, band = msg
-                sk = lookup(active)[1]
-                its, dts = slice_of("raw", lo, hi, False)
-                result = None
-                for off, (item, delta) in enumerate(
-                    zip(its.tolist(), dts.tolist())
-                ):
-                    sk.update(item, delta)
-                    y = sk.query()
-                    if band.crossed(published, y):
-                        result = (lo + off, y)
-                        break
-                conn.send(("ok", result))
-            elif op == "replace":
-                _, idx, rng = msg
-                lookup(idx)[1] = factories[idx](rng)
-            elif op == "get":
-                _, idx = msg
-                conn.send(("ok", lookup(idx)[1]))
-            elif op == "sync":
-                conn.send(("ok", None))
+                backend.stage(chunk.items, chunk.deltas)
+            elif op == "source":
+                chunk_iter = source_from_spec(msg[1]).chunks()
+            elif op == "span":
+                obs.begin_span(msg[1])
+            elif op == "obs":
+                conn.send(("ok", obs.drain()))
             elif op == "collect":
-                conn.send(("ok", [(i, s) for i, s in copies]))
+                conn.send(("ok", shard.sketches))
             elif op == "stop":
                 break
-            else:  # pragma: no cover - protocol bug
-                raise RuntimeError(f"unknown command {op!r}")
-            if timed:
+            else:
+                out = getattr(backend, op)(*msg[1])
+                if op in _REPLIES:
+                    conn.send(("ok", out))
+            if op in WorkerTelemetry.PHASE_OF:
                 obs.op(op, time.perf_counter() - tick)
     except (EOFError, KeyboardInterrupt):  # coordinator went away
         pass
@@ -343,14 +287,68 @@ class _SharedBuffers:
         self._blocks = {}
 
 
+def _run_worker(inherited, target, conn, *args) -> None:
+    # Drop the copies of the coordinator's pipe ends this child inherited
+    # through fork, so the coordinator closing them really hangs up.
+    for end in inherited:
+        end.close()
+    target(conn, *args)
+
+
+def _start_worker(conns: list, procs: list, target, *args) -> None:
+    """Fork ``target(conn, *args)`` on a fresh pipe; append its
+    coordinator end and process to ``conns`` / ``procs``."""
+    ctx = mp.get_context("fork")
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(
+        target=_run_worker, args=(conns + [parent], target, child, *args),
+        daemon=True,
+    )
+    proc.start()
+    child.close()
+    conns.append(parent)
+    procs.append(proc)
+
+
+def _stop_workers(conns, procs) -> None:
+    """Stop forked workers and close their pipes; safe on dead workers.
+
+    The pipes close before the joins, so a worker blocked sending a
+    reply nobody will read fails out instead of hanging its join.
+    """
+    for conn in conns:
+        try:
+            conn.send(("stop",))
+        except (BrokenPipeError, OSError):
+            pass
+    for conn in conns:
+        conn.close()
+    for proc in procs:
+        proc.join(timeout=10)
+        if proc.is_alive():  # pragma: no cover - hung worker
+            proc.terminate()
+            proc.join(timeout=5)
+
+
 class _ProcessCopyBackend:
     """Copies of one :class:`CopyManager` sharded across forked workers.
 
-    The process twin of :class:`~repro.core.copies.LocalCopyBackend`:
-    same interface, driven by the same
-    :class:`~repro.core.sketch_switching.SwitchingProtocol`, with the
-    copies living in worker address spaces and chunks travelling through
-    shared-memory buffers.
+    A proxy: each worker hosts a
+    :class:`~repro.core.copies.LocalCopyBackend` over its contiguous
+    shard (:meth:`CopyManager.shard`, stacked wherever a group keeps at
+    least two copies in it), and every method here forwards the call to
+    the workers owning the copies it names — global copy indices
+    translated to shard-local ones — then merges the per-worker
+    ``ndarray`` replies back by position.  Chunks reach the workers
+    through shared-memory buffers, or, in a spec-shipped session, are
+    materialized by each worker from the broadcast chunk source.  The
+    coordinator's manager, stacks included, is left as it was until
+    :meth:`collect_into` installs the workers' copies back.
+
+    Every backend method is a real class attribute (callers look them up
+    on the class), driven by the same
+    :class:`~repro.core.sketch_switching.SwitchingProtocol` as the local
+    backend.
     """
 
     def __init__(
@@ -362,46 +360,29 @@ class _ProcessCopyBackend:
         telemetry=None,
         spec: bool = False,
     ):
-        self._copies = copies
         self._tele = telemetry if telemetry is not None else copies.telemetry
         #: Per-phase worker wall seconds, summed across workers at
         #: collect time (None until then).
         self.worker_phases: dict[str, float] | None = None
-        # Workers drive per-copy object state (each owns a shard, so
-        # there is no cross-copy batching to win); detach any stacked
-        # groups *before* the fork captures the sketches below, so the
-        # sketches shipped into worker address spaces own their arrays.
-        copies.unstack()
         # Spec-shipped sessions skip shared memory entirely: each worker
         # materializes its own "raw" region from the broadcast source,
         # so there is nothing for the coordinator to copy in.
         self._buffers = None if spec else _SharedBuffers(capacity)
-        ctx = mp.get_context("fork")
-        self._owner: dict[int, int] = {}
+        self._shards = [list(indices) for indices in shards]
+        #: Global copy index -> (worker, shard-local index).
+        self._where: dict[int, tuple[int, int]] = {}
         self._conns = []
         self._procs = []
-        self._dirty = False  # fire-and-forget commands since last barrier
-        self._raw_len = 0
-        self._sub_len = 0
-        self._sub_unit = True
-        self._sub_unique = False
-        for w, indices in enumerate(shards):
-            parent, child = ctx.Pipe()
-            owned = [[i, copies.sketches[i]] for i in indices]
-            factories = {i: copies.factory_for(i) for i in indices}
-            proc = ctx.Process(
-                target=_switching_worker,
-                args=(child, owned, factories,
-                      {} if self._buffers is None else self._buffers.views,
-                      unique_hint, w, self._tele.enabled),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            for i in indices:
-                self._owner[i] = w
-            self._conns.append(parent)
-            self._procs.append(proc)
+        #: Whether a fire-and-forget call that reads the staged arrays
+        #: may still be running; the next stage fences on it.
+        self._dirty = False
+        views = {} if self._buffers is None else self._buffers.views
+        for w, indices in enumerate(self._shards):
+            _start_worker(self._conns, self._procs, _switching_worker,
+                          copies, indices, views, unique_hint, w,
+                          self._tele.enabled)
+            for local, idx in enumerate(indices):
+                self._where[idx] = (w, local)
 
     @property
     def workers(self) -> int:
@@ -413,17 +394,52 @@ class _ProcessCopyBackend:
         # the source's own, so advertise an effectively unbounded cap.
         return self._buffers.capacity if self._buffers is not None else 1 << 62
 
-    def _recv(self, conn):
-        return _recv_checked(conn)
+    def _tag_span(self) -> None:
+        """Tag the workers' upcoming calls with the coordinator's current
+        (chunk) span, so their worker-chunk spans merge back under it."""
+        if self._tele.enabled:
+            span_id = self._tele.current_span_id
+            for conn in self._conns:
+                _send(conn, ("span", span_id))
 
-    def _barrier(self) -> None:
-        if not self._dirty:
-            return
-        for conn in self._conns:
-            _send(conn, ("sync",))
-        for conn in self._conns:
-            self._recv(conn)
-        self._dirty = False
+    def _split(self, probes) -> dict[int, tuple[list[int], list[int]]]:
+        """Probed copies by owning worker: ``{w: (locals, positions)}``."""
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for pos, idx in enumerate(probes):
+            w, local = self._where[idx]
+            entry = groups.get(w)
+            if entry is None:
+                entry = groups[w] = ([], [])
+            entry[0].append(local)
+            entry[1].append(pos)
+        return groups
+
+    def _gather(self, groups, count: int) -> np.ndarray:
+        """Place each worker's estimate reply at its probe positions."""
+        ys = np.empty(count, dtype=np.float64)
+        for w, (_, positions) in groups.items():
+            ys[positions] = _recv_checked(self._conns[w])
+        return ys
+
+    def _probe(self, method: str, args: tuple, probes) -> np.ndarray:
+        groups = self._split(probes)
+        for w, (local, _) in groups.items():
+            _send(self._conns[w], (method, (*args, tuple(local))))
+        return self._gather(groups, len(probes))
+
+    def _tell_probed(self, method: str, probes) -> None:
+        for w, (local, _) in self._split(probes).items():
+            _send(self._conns[w], (method, (tuple(local),)))
+
+    def _tell_others(self, method: str, args: tuple, exclude) -> None:
+        """Forward a non-probed feed to every worker, ``exclude`` localized."""
+        local = [[] for _ in self._conns]
+        for idx in exclude:
+            w, i = self._where[idx]
+            local[w].append(i)
+        for w, conn in enumerate(self._conns):
+            _send(conn, (method, (*args, tuple(local[w]))))
+        self._dirty = True
 
     def broadcast_source(self, spec: dict) -> None:
         """Ship the chunk-source spec to every worker, once per session.
@@ -435,27 +451,18 @@ class _ProcessCopyBackend:
         """
         for conn in self._conns:
             _send(conn, ("source", spec))
-        self._dirty = True
 
     def stage_spec(self, count: int) -> None:
         """Advance every worker's local source by one chunk of ``count``.
 
-        No barrier and no shared-buffer write: pipe ordering serializes
+        No fence and no shared-buffer write: pipe ordering serializes
         the advance after each worker's prior ops, and there is no
         coordinator-written buffer to race on — this (plus the vanished
         per-chunk memcpy) is the spec-shipping win.
         """
-        if self._tele.enabled:
-            span_id = self._tele.current_span_id
-            for conn in self._conns:
-                _send(conn, ("span", span_id))
+        self._tag_span()
         for conn in self._conns:
             _send(conn, ("adv", count))
-        self._raw_len = count
-        self._sub_len = 0
-        self._sub_unit = True
-        self._sub_unique = False
-        self._dirty = True
 
     def stage(self, items: np.ndarray, deltas: np.ndarray) -> None:
         if self._buffers is None:
@@ -463,150 +470,106 @@ class _ProcessCopyBackend:
                 "spec-mode backend has no shared buffers; "
                 "drive it with feed_spec"
             )
-        # Workers may still be consuming the previous chunk's buffer via
-        # fire-and-forget feeds; fence before overwriting it.
-        self._barrier()
-        self._buffers.write("raw", items, deltas)
-        self._raw_len = len(items)
-        self._sub_len = 0
-        self._sub_unit = True
-        self._sub_unique = False
-        if self._tele.enabled:
-            # Tag the workers' upcoming ops with the coordinator's
-            # current (chunk) span so their buffered worker-chunk spans
-            # merge back under the right parent.  Fire-and-forget and
-            # pipe-ordered; it touches no shared buffers, so it needs no
-            # barrier — and the disabled path sends nothing at all.
-            span_id = self._tele.current_span_id
+        # The staging message doubles as the fence: while fire-and-forget
+        # feeds may still read the previous chunk, each worker answers it
+        # (after finishing them) before the buffer is overwritten.
+        # Staging only slices the views, so it may precede the write.
+        fence = self._dirty
+        for conn in self._conns:
+            _send(conn, ("raw", len(items), fence))
+        if fence:
             for conn in self._conns:
-                _send(conn, ("span", span_id))
+                _recv_checked(conn)
+            self._dirty = False
+        self._buffers.write("raw", items, deltas)
+        self._tag_span()
+
+    def _stage_sub(self, items, deltas, assume_unique: bool,
+                   probes=None) -> dict:
+        """Write the pre-processed feed and stage it on every worker;
+        the workers owning ``probes`` also probe it (and reply)."""
+        if self._dirty:
+            raise RuntimeError("stage the chunk before its pre-processed feed")
+        count = self._buffers.write("sub", items, deltas)
+        groups = {} if probes is None else self._split(probes)
+        for w, conn in enumerate(self._conns):
+            entry = groups.get(w)
+            _send(conn, ("sub", count, deltas is None, assume_unique,
+                         None if entry is None else tuple(entry[0])))
+        return groups
 
     def stage_sub(self, items, deltas, assume_unique: bool) -> None:
         """Stage a pre-processed feed without probing (uniform fan-outs).
 
-        Safe to call right after :meth:`stage` (which fenced the previous
-        chunk); the subsequent ``feed_others_sub(())`` then fans the
-        staged arrays to every copy.
+        Follows :meth:`stage`, whose fence covers this buffer too; the
+        subsequent ``feed_others_sub(())`` then fans the staged arrays
+        to every copy.
         """
-        self._sub_len = self._buffers.write("sub", items, deltas)
-        self._sub_unit = deltas is None
-        self._sub_unique = assume_unique
-
-    def _owner_conn(self, idx: int):
-        return self._conns[self._owner[idx]]
-
-    def _group(self, probes: tuple[int, ...]) -> dict[int, list[int]]:
-        """Group probed copy indices by owning worker (insertion order)."""
-        groups: dict[int, list[int]] = {}
-        for idx in probes:
-            groups.setdefault(self._owner[idx], []).append(idx)
-        return groups
-
-    def _gather(self, groups: dict[int, list[int]], probes) -> np.ndarray:
-        """Collect (index, estimate) replies and order them like probes."""
-        by_index: dict[int, float] = {}
-        for worker in groups:
-            for idx, y in self._recv(self._conns[worker]):
-                by_index[idx] = y
-        return np.array([by_index[idx] for idx in probes], dtype=np.float64)
+        self._stage_sub(items, deltas, assume_unique)
 
     # -- probed-copy probe/search ops -----------------------------------
 
     def probe_sub(
         self, items, deltas, assume_unique: bool, probes: tuple[int, ...]
     ) -> np.ndarray:
-        self._barrier()
-        self.stage_sub(items, deltas, assume_unique)
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker],
-                  ("probe", "sub", 0, self._sub_len, self._sub_unit,
-                   assume_unique, owned))
-        return self._gather(groups, probes)
+        groups = self._stage_sub(items, deltas, assume_unique, probes)
+        return self._gather(groups, len(probes))
 
     def probe_raw(self, probes: tuple[int, ...]) -> np.ndarray:
-        self._sub_len = 0
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker],
-                  ("probe", "raw", 0, self._raw_len, False, False, owned))
-        return self._gather(groups, probes)
+        return self._probe("probe_raw", (), probes)
 
     def keep_probed(self, probes: tuple[int, ...]) -> None:
-        for worker in self._group(probes):
-            _send(self._conns[worker], ("akeep",))
-        self._dirty = True
+        self._tell_probed("keep_probed", probes)
 
     def roll_probed(self, probes: tuple[int, ...]) -> None:
-        for worker in self._group(probes):
-            _send(self._conns[worker], ("aroll",))
-        self._dirty = True
+        self._tell_probed("roll_probed", probes)
 
     def snap_probed(self, probes: tuple[int, ...]) -> None:
-        for worker, owned in self._group(probes).items():
-            _send(self._conns[worker], ("asnap", owned))
-        self._dirty = True
+        self._tell_probed("snap_probed", probes)
 
     def feed_probed(
         self, lo: int, hi: int, probes: tuple[int, ...]
     ) -> np.ndarray:
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker], ("afeed", lo, hi, owned))
-        return self._gather(groups, probes)
+        return self._probe("feed_probed", (lo, hi), probes)
 
     def step_probed(self, pos: int, probes: tuple[int, ...]) -> np.ndarray:
-        groups = self._group(probes)
-        for worker, owned in groups.items():
-            _send(self._conns[worker], ("astep", pos, owned))
-        return self._gather(groups, probes)
+        return self._probe("step_probed", (pos,), probes)
 
     def scan_probed(
         self, lo: int, hi: int, probe: int, published: float, band
     ) -> tuple[int, float] | None:
-        conn = self._owner_conn(probe)
-        _send(conn, ("ascan", lo, hi, probe, published, band))
-        got = self._recv(conn)
-        return None if got is None else tuple(got)
+        w, local = self._where[probe]
+        conn = self._conns[w]
+        _send(conn, ("scan_probed", (lo, hi, local, published, band)))
+        return _recv_checked(conn)
 
     # -- non-probed copies ----------------------------------------------
 
     def feed_others_sub(self, exclude: tuple[int, ...]) -> None:
-        for conn in self._conns:
-            _send(conn, ("feed", "sub", 0, self._sub_len, self._sub_unit,
-                       self._sub_unique, tuple(exclude)))
-        self._dirty = True
+        self._tell_others("feed_others_sub", (), exclude)
 
     def feed_others_raw(self, exclude: tuple[int, ...]) -> None:
-        self.catch_up(0, self._raw_len, exclude)
+        self._tell_others("feed_others_raw", (), exclude)
 
     def catch_up(self, lo: int, hi: int, exclude: tuple[int, ...]) -> None:
-        for conn in self._conns:
-            _send(conn, ("feed", "raw", lo, hi, False, False,
-                         tuple(exclude)))
-        self._dirty = True
+        self._tell_others("catch_up", (lo, hi), exclude)
 
     def replace(self, idx: int, rng: np.random.Generator) -> None:
-        _send(self._conns[self._owner[idx]], ("replace", idx, rng))
-        self._dirty = True
+        w, local = self._where[idx]
+        _send(self._conns[w], ("replace", (local, rng)))
 
     def fetch(self, idx: int) -> Sketch:
         """Pull one copy's current state (epoch snapshot publishing)."""
-        self._barrier()
-        conn = self._conns[self._owner[idx]]
-        _send(conn, ("get", idx))
-        return self._recv(conn)
+        w, local = self._where[idx]
+        _send(self._conns[w], ("fetch", (local,)))
+        return _recv_checked(self._conns[w])
 
     def collect_into(self, copies: CopyManager) -> None:
-        self._barrier()
         for conn in self._conns:
             _send(conn, ("collect",))
-        for conn in self._conns:
-            for idx, sketch in self._recv(conn):
-                copies.sketches[idx] = sketch
-        # Re-adopt the collected sketches into stacked groups (no-op when
-        # stacking is disabled or nothing qualifies).
-        copies.restack()
+        for indices, conn in zip(self._shards, self._conns):
+            for idx, sketch in zip(indices, _recv_checked(conn)):
+                copies.install(idx, sketch)
         # Pull the workers' telemetry buffers: phase timings always
         # (they feed phase_seconds' worker_* keys), buffered events and
         # spans when tracing is on (merged into the coordinator bundle).
@@ -614,25 +577,14 @@ class _ProcessCopyBackend:
             _send(conn, ("obs",))
         phases: dict[str, float] = {}
         for worker, conn in enumerate(self._conns):
-            payload = self._recv(conn)
+            payload = _recv_checked(conn)
             for key, seconds in payload.get("phases", {}).items():
                 phases[key] = phases.get(key, 0.0) + seconds
             self._tele.absorb_worker(worker, payload)
         self.worker_phases = phases
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
+        _stop_workers(self._conns, self._procs)
         self._conns, self._procs = [], []
         if self._buffers is not None:
             self._buffers.close(unlink=True)
@@ -754,15 +706,16 @@ class IngestSession(abc.ABC):
         """Sync all sharded state back into the estimator."""
 
     def close(self) -> None:
-        """Release workers/buffers without finalizing (error path)."""
+        """Release workers/buffers; idempotent, runs on every exit path."""
 
     def __enter__(self) -> "IngestSession":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.finalize()
-        else:
+        try:
+            if exc_type is None:
+                self.finalize()
+        finally:
             self.close()
 
 
@@ -862,8 +815,10 @@ class _SwitchingSession(IngestSession):
         return self._est.query()
 
     def finalize(self) -> None:
-        self._backend.collect_into(self._plan.switcher._copies)
-        self._backend.close()
+        try:
+            self._backend.collect_into(self._plan.switcher._copies)
+        finally:
+            self.close()
         if self._tele.enabled:
             self._tele.emit(PhasesEvent(phases=self.phase_seconds))
 
@@ -949,9 +904,11 @@ class _EpochSession(IngestSession):
         return self._wrapper.query()
 
     def finalize(self) -> None:
-        self._ring_backend.collect_into(self._plan.ring)
-        self._l2_backend.collect_into(self._plan.l2_plan.switcher._copies)
-        self.close()
+        try:
+            self._ring_backend.collect_into(self._plan.ring)
+            self._l2_backend.collect_into(self._plan.l2_plan.switcher._copies)
+        finally:
+            self.close()
         if self._tele.enabled:
             self._tele.emit(PhasesEvent(phases=self.phase_seconds))
 
@@ -973,26 +930,14 @@ class _ProcessMergeSession(IngestSession):
     def __init__(self, plan: MergeShardPlan, workers: int, capacity: int):
         self._sketch = plan.sketch
         self._buffers = _SharedBuffers(capacity)
-        ctx = mp.get_context("fork")
         self._conns = []
         self._procs = []
         for partial in plan.make_partials(workers):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_merge_worker,
-                args=(child, partial, self._buffers.views),
-                daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
+            _start_worker(self._conns, self._procs, _merge_worker,
+                          partial, self._buffers.views)
         self.mode = f"process[{len(self._procs)}]"
         self._finalized = False
         self._merged_view: Sketch | None = None
-
-    def _recv(self, conn):
-        return _recv_checked(conn)
 
     def feed(self, items, deltas=None) -> None:
         items, deltas = as_batch_arrays(items, deltas)
@@ -1007,12 +952,12 @@ class _ProcessMergeSession(IngestSession):
             for conn, lo, hi in zip(self._conns, bounds[:-1], bounds[1:]):
                 _send(conn, ("feed", int(lo), int(hi)))
             for conn in self._conns:
-                self._recv(conn)
+                _recv_checked(conn)
 
     def _collect(self) -> list[Sketch]:
         for conn in self._conns:
             _send(conn, ("collect",))
-        return [self._recv(conn) for conn in self._conns]
+        return [_recv_checked(conn) for conn in self._conns]
 
     def query(self) -> float:
         if self._finalized:
@@ -1027,24 +972,15 @@ class _ProcessMergeSession(IngestSession):
     def finalize(self) -> None:
         if self._finalized:
             return
-        for partial in self._collect():
-            self._sketch.merge(partial)
-        self._finalized = True
-        self.close()
+        try:
+            for partial in self._collect():
+                self._sketch.merge(partial)
+            self._finalized = True
+        finally:
+            self.close()
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            conn.close()
+        _stop_workers(self._conns, self._procs)
         self._conns, self._procs = [], []
         if self._buffers is not None:
             self._buffers.close(unlink=True)
@@ -1054,6 +990,43 @@ class _ProcessMergeSession(IngestSession):
 # ----------------------------------------------------------------------
 # Engines
 # ----------------------------------------------------------------------
+
+
+def _serial_session(estimator: Sketch, plan, source, src_mode,
+                    reason) -> IngestSession:
+    """The in-process session for ``plan``: what :class:`SerialEngine`
+    always opens and :class:`ProcessEngine` opens when it does not fork."""
+    if isinstance(plan, SwitchingShardPlan):
+        if src_mode == "universe":
+            backend = UniverseLocalBackend(
+                plan.switcher._copies, source.universe
+            )
+            session = _SwitchingSession(
+                estimator, plan, backend, mode="serial", raw_hoists=True
+            )
+            session.source_mode = "universe"
+            return session
+        session = _SwitchingSession(
+            estimator, plan,
+            LocalCopyBackend(plan.switcher._copies, plan.unique_hint),
+            mode="serial",
+        )
+    elif isinstance(plan, EpochShardPlan):
+        session = _EpochSession(
+            plan,
+            LocalCopyBackend(
+                plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
+            ),
+            LocalCopyBackend(plan.ring, plan.ring_hoists.unique_hint),
+            mode="serial",
+        )
+    else:
+        session = _PlainSession(
+            estimator, fallback_reason=getattr(plan, "reason", None)
+        )
+    if src_mode == "bytes":
+        session.source_mode = f"bytes: {reason}"
+    return session
 
 
 def fork_available() -> bool:
@@ -1091,38 +1064,7 @@ class SerialEngine(ExecutionEngine):
     def session(self, estimator: Sketch, source=None) -> IngestSession:
         plan = plan_shards(estimator)
         src_mode, reason = source_mode_for(plan, source, parallel=False)
-        if isinstance(plan, SwitchingShardPlan):
-            if src_mode == "universe":
-                backend = UniverseLocalBackend(
-                    plan.switcher._copies, source.universe
-                )
-                session = _SwitchingSession(
-                    estimator, plan, backend, mode="serial", raw_hoists=True
-                )
-                session.source_mode = "universe"
-                return session
-            backend = LocalCopyBackend(
-                plan.switcher._copies, plan.unique_hint
-            )
-            session = _SwitchingSession(
-                estimator, plan, backend, mode="serial"
-            )
-        elif isinstance(plan, EpochShardPlan):
-            session = _EpochSession(
-                plan,
-                LocalCopyBackend(
-                    plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
-                ),
-                LocalCopyBackend(plan.ring, plan.ring_hoists.unique_hint),
-                mode="serial",
-            )
-        else:
-            session = _PlainSession(
-                estimator, fallback_reason=getattr(plan, "reason", None)
-            )
-        if src_mode == "bytes":
-            session.source_mode = f"bytes: {reason}"
-        return session
+        return _serial_session(estimator, plan, source, src_mode, reason)
 
 
 class ProcessEngine(ExecutionEngine):
@@ -1171,62 +1113,40 @@ class ProcessEngine(ExecutionEngine):
         plan = plan_shards(estimator)
         parallel = self.workers > 1 and fork_available()
         src_mode, reason = source_mode_for(plan, source, parallel=parallel)
-        if isinstance(plan, SwitchingShardPlan):
-            if parallel and plan.switcher.copies > 1:
-                spec_mode = src_mode == "spec"
-                backend = self._process_backend(
-                    plan.switcher._copies, plan.unique_hint, spec=spec_mode
-                )
-                mode = f"process[{backend.workers}]"
-                session = _SwitchingSession(
-                    estimator, plan, backend, mode,
-                    spec_source=source if spec_mode else None,
-                )
-                if spec_mode:
-                    session.source_mode = "spec"
-                return session
-            if src_mode == "universe":
-                backend = UniverseLocalBackend(
-                    plan.switcher._copies, source.universe
-                )
-                session = _SwitchingSession(
-                    estimator, plan, backend, mode="serial", raw_hoists=True
-                )
-                session.source_mode = "universe"
-                return session
+        if (parallel and isinstance(plan, SwitchingShardPlan)
+                and plan.switcher.copies > 1):
+            spec_mode = src_mode == "spec"
+            backend = self._process_backend(
+                plan.switcher._copies, plan.unique_hint, spec=spec_mode
+            )
             session = _SwitchingSession(
-                estimator, plan,
-                LocalCopyBackend(plan.switcher._copies, plan.unique_hint),
-                mode="serial",
+                estimator, plan, backend, f"process[{backend.workers}]",
+                spec_source=source if spec_mode else None,
             )
-            if src_mode == "bytes":
-                session.source_mode = f"bytes: {reason}"
+            if spec_mode:
+                session.source_mode = "spec"
             return session
-        if isinstance(plan, EpochShardPlan):
-            l2_backend = LocalCopyBackend(
-                plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
+        if (parallel and isinstance(plan, EpochShardPlan)
+                and plan.ring.count > 1):
+            # The ring carries the bulk of the copies; the (smaller) L2
+            # tracker stays on the coordinator.
+            ring_backend = self._process_backend(
+                plan.ring, plan.ring_hoists.unique_hint
             )
-            if parallel and plan.ring.count > 1:
-                # The ring carries the bulk of the copies; the (smaller)
-                # L2 tracker stays on the coordinator.
-                ring_backend = self._process_backend(
-                    plan.ring, plan.ring_hoists.unique_hint
-                )
-                mode = f"process[{ring_backend.workers}]"
-            else:
-                ring_backend = LocalCopyBackend(
-                    plan.ring, plan.ring_hoists.unique_hint
-                )
-                mode = "serial"
-            session = _EpochSession(plan, l2_backend, ring_backend, mode)
-        elif isinstance(plan, MergeShardPlan) and parallel:
+            session = _EpochSession(
+                plan,
+                LocalCopyBackend(
+                    plan.l2_plan.switcher._copies, plan.l2_plan.unique_hint
+                ),
+                ring_backend,
+                f"process[{ring_backend.workers}]",
+            )
+        elif parallel and isinstance(plan, MergeShardPlan):
             session = _ProcessMergeSession(
                 plan, self.workers, self.chunk_capacity
             )
         else:
-            session = _PlainSession(
-                estimator, fallback_reason=getattr(plan, "reason", None)
-            )
+            return _serial_session(estimator, plan, source, src_mode, reason)
         if src_mode == "bytes":
             session.source_mode = f"bytes: {reason}"
         return session

@@ -227,7 +227,7 @@ class WorkerTelemetry:
 
     Lives inside a forked ProcessEngine worker.  Phase timings are
     *always* accumulated (two ``perf_counter`` calls per backend
-    command — noise next to the sketch work) because
+    call — noise next to the sketch work) because
     ``IngestReport.phase_seconds`` wants them even with tracing off;
     span/event buffering only happens when the coordinator enabled
     tracing.  The coordinator tags each staged chunk with its span id
@@ -235,15 +235,18 @@ class WorkerTelemetry:
     become one ``worker-chunk`` span parented under that chunk.
     """
 
-    #: Map backend command -> phase bucket.  Probe-shaped commands
-    #: (aggregate probes, snapshot scans) all count as "probe";
+    #: Map backend call -> phase bucket.  The probed-copy calls (boundary
+    #: probes, bisection snapshots and feeds, leaf steps and scans) all
+    #: count as "probe", the non-probed fan-out feeds as "feed";
     #: spec-shipped chunk materialization ("adv") is its own "generate"
     #: phase so worker-side generation time stays attributable.
     PHASE_OF = {
-        "probe": "probe", "akeep": "probe", "aroll": "probe",
-        "asnap": "probe", "afeed": "probe", "astep": "probe",
-        "ascan": "probe",
-        "feed": "feed",
+        "probe_raw": "probe", "probe_sub": "probe", "keep_probed": "probe",
+        "roll_probed": "probe", "snap_probed": "probe",
+        "feed_probed": "probe", "step_probed": "probe",
+        "scan_probed": "probe",
+        "feed_others_sub": "feed", "feed_others_raw": "feed",
+        "catch_up": "feed",
         "replace": "replace",
         "adv": "generate",
     }
@@ -260,9 +263,9 @@ class WorkerTelemetry:
         self._span_end = 0.0
         self._ops = 0
 
-    def op(self, command: str, seconds: float) -> None:
-        """Record one timed backend command."""
-        phase = self.PHASE_OF.get(command)
+    def op(self, call: str, seconds: float) -> None:
+        """Record one timed backend call."""
+        phase = self.PHASE_OF.get(call)
         if phase is not None:
             self.phases[phase] += seconds
         if self.trace and self._span is not None:

@@ -367,7 +367,3 @@ class AMSStack(SketchStack):
     def restore(self, saved) -> None:
         sel, ys = saved
         self.ys[sel] = ys
-
-    def detach(self) -> None:
-        for p, s in enumerate(self.sketches):
-            s._y = self.ys[p].copy()

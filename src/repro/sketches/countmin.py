@@ -239,7 +239,3 @@ class CountMinStack(SketchStack):
         self.tables[sel] = tables
         for p, f1 in zip(sel.tolist(), f1s):
             self.sketches[p]._f1 = f1
-
-    def detach(self) -> None:
-        for p, s in enumerate(self.sketches):
-            s._table = self.tables[p].copy()

@@ -336,6 +336,14 @@ class CountSketchStack(SketchStack):
             support.astype(np.int64), cols, sign_cols, weighted
         )
 
+    def refresh_universe(self, ucols, plane: int) -> None:
+        sketch = self.sketches[plane]
+        ucols.buckets[plane] = (
+            hash_many_stacked(sketch._buckets, ucols.unique)
+            % np.uint64(self.width)
+        ).astype(np.intp)
+        ucols.signs[plane] = sign_many_stacked(sketch._signs, ucols.unique)
+
     def step_item(self, ucols, item, delta, planes) -> None:
         """One per-item update across a set of planes, via universe columns.
 
@@ -416,7 +424,3 @@ class CountSketchStack(SketchStack):
         self.tables[sel] = tables
         for p, cands in zip(sel.tolist(), candidates):
             self.sketches[p]._candidates = cands
-
-    def detach(self) -> None:
-        for p, s in enumerate(self.sketches):
-            s._table = self.tables[p].copy()

@@ -56,6 +56,12 @@ class SketchStack(abc.ABC):
     stack (``feed``/``install``/``restore``) or through in-place NumPy
     writes on a template's view; rebinding a template's array attribute
     outside :meth:`install` silently detaches it from the stack.
+
+    A stack lives as long as its copy manager.  A forked process-engine
+    worker inherits the templates and stacks its shard of them anew
+    (:meth:`~repro.core.copies.CopyManager.shard`), which copies the
+    planes it adopts; the coordinator's stack stays untouched until
+    collect installs the workers' copies back, plane by plane.
     """
 
     #: Whether :meth:`prepare_universe` / :meth:`prepare_counts` are
@@ -115,6 +121,17 @@ class SketchStack(abc.ABC):
             f"{type(self).__name__} does not support counts-based prepare"
         )
 
+    def refresh_universe(self, ucols, plane: int) -> None:
+        """Re-hash one plane of :meth:`prepare_universe` columns in place.
+
+        Called after :meth:`install` put a reseeded copy in ``plane``,
+        whose hash functions differ from the columns' old ones.  Only
+        stacks that implement :meth:`prepare_counts` implement this.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support counts-based prepare"
+        )
+
     def subset(self, prepared, items, deltas):
         """Prepared chunk for a *subrange* of an already-prepared chunk.
 
@@ -169,15 +186,6 @@ class SketchStack(abc.ABC):
         templates; template object identity is preserved, which no
         caller observes (the object path swaps in snapshot clones that
         share hashes with the originals).
-        """
-
-    @abc.abstractmethod
-    def detach(self) -> None:
-        """Give every template ownership of its state; kill the stack.
-
-        After ``detach`` each template holds a private copy of its plane
-        and the stack must not be used again.  The process engine calls
-        this before forking so workers inherit plain per-object copies.
         """
 
 

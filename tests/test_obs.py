@@ -246,9 +246,9 @@ class TestTelemetry:
 class TestWorkerTelemetry:
     def test_phases_always_accumulate(self):
         obs = WorkerTelemetry(0, trace=False)
-        obs.op("feed", 0.25)
-        obs.op("probe", 0.5)
-        obs.op("afeed", 0.5)                  # aggregate feed counts as probe
+        obs.op("feed_others_raw", 0.25)
+        obs.op("probe_raw", 0.5)
+        obs.op("feed_probed", 0.5)            # bisection feed counts as probe
         obs.op("stop", 1.0)                   # unmapped: ignored
         obs.op("adv", 0.125)                  # spec-mode chunk materialization
         payload = obs.drain()
@@ -259,10 +259,10 @@ class TestWorkerTelemetry:
     def test_span_records_between_tags(self):
         obs = WorkerTelemetry(1, trace=True)
         obs.begin_span(11)
-        obs.op("feed", 0.1)
-        obs.op("probe", 0.1)
+        obs.op("catch_up", 0.1)
+        obs.op("probe_sub", 0.1)
         obs.begin_span(12)                    # closes the span under 11
-        obs.op("feed", 0.1)
+        obs.op("feed_others_sub", 0.1)
         payload = obs.drain()                 # closes the span under 12
         events = payload["events"]
         assert [e["span"] for e in events] == [11, 12]

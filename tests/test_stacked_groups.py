@@ -204,20 +204,6 @@ class TestSketchStacks:
         twin.update_batch(items)
         assert np.array_equal(_state(fresh), _state(twin))
 
-    @pytest.mark.parametrize("cls,args,kwargs", STACKED_CASES)
-    def test_detach_gives_templates_ownership(self, cls, args, kwargs):
-        rng = np.random.default_rng(12)
-        items = rng.integers(0, 64, size=300).astype(np.int64)
-        _, stack = _twins(cls, args, 3, **kwargs)
-        stack.feed(stack.prepare(items, None), range(3))
-        states = [_state(s).copy() for s in stack.sketches]
-        sketches = list(stack.sketches)
-        stack.detach()
-        block = stack.tables if hasattr(stack, "tables") else stack.ys
-        for i, s in enumerate(sketches):
-            assert np.array_equal(_state(s), states[i])
-            assert not np.shares_memory(_state(s), block)
-
 
 # ----------------------------------------------------------------------
 # Manager level
@@ -264,23 +250,6 @@ class TestCopyManagerStacking:
             sub = mgr.estimate_all((2, 0))
             assert isinstance(sub, np.ndarray) and len(sub) == 2
             assert sub[0] == ys[2] and sub[1] == ys[0]
-
-    def test_unstack_restack_roundtrip(self):
-        mgr = CopyManager(
-            lambda r: CountMinSketch(16, 3, r), 4, np.random.default_rng(0)
-        )
-        items = np.arange(50, dtype=np.int64)
-        for s in mgr.sketches:
-            s.update_batch(items)
-        tables = [s._table.copy() for s in mgr.sketches]
-        mgr.unstack()
-        assert not mgr.stacks
-        for s, t in zip(mgr.sketches, tables):
-            assert np.array_equal(s._table, t)
-        mgr.restack()
-        assert mgr.stacks
-        for s, t in zip(mgr.sketches, tables):
-            assert np.array_equal(s._table, t)
 
 
 # ----------------------------------------------------------------------
