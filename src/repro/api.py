@@ -217,10 +217,10 @@ class IngestReport:
     #: generation overlaps coordinator wall time entirely.
     phase_seconds: dict | None = None
     #: How a ``source=`` chunk source was executed — "spec" (spec
-    #: broadcast; workers materialized locally), "universe" (serial
-    #: counts-based fast path), or "bytes: <reason>" (coordinator-side
-    #: materialization, with the planner's reason) — or None when no
-    #: chunk source drove the replay.
+    #: broadcast; workers materialized locally) or "bytes: <reason>"
+    #: (coordinator-side materialization, with the reason the session
+    #: is not spec-shipped) — or None when no chunk source drove the
+    #: replay.
     source_mode: str | None = None
     #: Merged telemetry snapshot (metric values, event counts by kind,
     #: span count) when :func:`ingest` ran with ``telemetry=`` enabled;
@@ -371,11 +371,9 @@ def ingest(
     its own chunks (regenerating via the seeded RNG tree, or memmapping
     its own read-only store view): the per-chunk shared-memory copy and
     wakeup disappear and generation overlaps compute inside the
-    workers.  Serial switching sessions use the source's declared item
-    universe for the counts-based fast path when the copy set licenses
-    it.  Everything else — plus ad-hoc iterables passed as ``source``,
-    and any replay teeing through ``spill_store`` — falls back to
-    coordinator-side materialization through the ordinary bytes path;
+    workers.  Everything else — serial sessions, ad-hoc iterables
+    passed as ``source``, and any replay teeing through ``spill_store``
+    — materializes on the coordinator and takes the ordinary bytes path;
     ``IngestReport.source_mode`` records which path ran and why.
     Applies to oblivious replay only, like the rest of this surface.
 

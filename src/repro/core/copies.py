@@ -30,8 +30,9 @@ independent instances of a static sketch, one active at a time.  The
 * **stacked copy groups** — homogeneous groups of a stackable sketch
   (CountMin, CountSketch, AMS) fuse their array state into one
   :class:`~repro.sketches.stacking.SketchStack` per group: one stacked
-  array for all k copies, one shared per-chunk hash pass, one
-  vectorized ``query_all``.  The original sketch objects stay installed
+  array for all k copies, one shared per-chunk hash pass (over the
+  items the stack's column memo does not hold yet), one vectorized
+  ``query_all``.  The original sketch objects stay installed
   in :attr:`CopyManager.sketches` as *templates* whose array attributes
   are views into the stack, so per-item updates and individual queries
   keep working unchanged, and every result is bit-for-bit identical to
@@ -457,7 +458,8 @@ class LocalCopyBackend:
     per stack (``prepare``) and the resulting columns are reused across
     the probe feed, the non-probed fan-out, and any replay catch-ups
     over the same arrays — the shared hash pass that makes k copies cost
-    one kernel invocation instead of k call chains.  Results are
+    one kernel invocation instead of k call chains.  Bisection-leaf
+    steps go through the stack too (``SketchStack.step``).  Results are
     bit-for-bit those of the per-object path.
     """
 
@@ -520,18 +522,10 @@ class LocalCopyBackend:
         key = ("raw", id(stack))
         full = self._prep.get(key)
         if full is None:
-            full = self._prepare_range(stack, 0, len(self._items), None)
-            self._prep[key] = full
+            full = self._prep[key] = stack.prepare(self._items, self._deltas)
         if lo == 0 and hi == len(self._items):
             return full
-        return self._prepare_range(stack, lo, hi, full)
-
-    def _prepare_range(self, stack, lo: int, hi: int, full):
-        """Prep of ``raw[lo:hi]``; ``full`` is the whole chunk's, if built."""
-        items, deltas = self._items[lo:hi], self._deltas[lo:hi]
-        if full is None:
-            return stack.prepare(items, deltas)
-        return stack.subset(full, items, deltas)
+        return stack.subset(full, self._items[lo:hi], self._deltas[lo:hi])
 
     def _feed_probes(self, probes, prep, feed_object,
                      save: bool = False) -> np.ndarray:
@@ -571,15 +565,6 @@ class LocalCopyBackend:
             stack.feed(prep(stack), planes)
         for _, idx in rest:
             feed_object(copies.sketches[idx])
-
-    def _step_stack(self, stack, planes, item: int, delta: int) -> None:
-        """One per-item update on some planes of a stack.
-
-        Per-item mutation stays on the templates (in-place writes flow
-        through the plane views); subclasses may vectorize it.
-        """
-        for p in planes:
-            stack.sketches[p].update(item, delta)
 
     # -- probed-copy probe/search ops -----------------------------------
 
@@ -639,11 +624,11 @@ class LocalCopyBackend:
         item, delta = int(self._items[pos]), int(self._deltas[pos])
         copies = self._copies
         ys = np.empty(len(probes), dtype=np.float64)
-        # The per-copy query reductions collapse into one stacked pass
-        # per group.
+        # The per-copy updates and query reductions collapse into one
+        # stacked pass per group.
         parts, rest = copies.stack_plan(probes)
         for stack, planes, positions in parts:
-            self._step_stack(stack, planes, item, delta)
+            stack.step(planes, item, delta)
             _query_planes(ys, stack, planes, positions)
         for i, idx in rest:
             sk = copies.sketches[idx]
@@ -711,131 +696,3 @@ class LocalCopyBackend:
         self._prep.clear()
         self._items = self._deltas = self._sub = None
 
-
-#: Cap on resident universe-column elements (planes * rows * universe)
-#: per stack before the counts-based fast path declines to engage; at 16
-#: bytes per element the default is ~64 MB.
-UNIVERSE_PREP_CAP = 4_000_000
-
-
-def universe_licensed(
-    copies: CopyManager,
-    universe: int | None,
-    unit_deltas: bool,
-    cap: int = UNIVERSE_PREP_CAP,
-) -> bool:
-    """Whether the counts-based serial fast path applies to this copy set.
-
-    Requires a known item universe, unit insertions (so a chunk's
-    ``bincount`` support *is* its sorted distinct-item set — cancelling
-    deltas would drop zero-sum items the aggregation path keeps), at
-    least one stacked copy group whose stack supports universe columns,
-    and a universe small enough that the resident columns stay under
-    ``cap`` elements.
-    """
-    if universe is None or universe < 1 or not unit_deltas:
-        return False
-    return any(
-        getattr(stack, "supports_universe", False)
-        and stack.planes * getattr(stack, "rows", 1) * universe <= cap
-        for stack in copies.stacks.values()
-    )
-
-
-class UniverseLocalBackend(LocalCopyBackend):
-    """Serial copy backend specialised for a known item universe.
-
-    When a :class:`~repro.streams.sources.ChunkSource` promises every
-    item lies in ``[0, universe)`` with unit deltas, the per-chunk
-    aggregation pipeline collapses: the stacked hash columns for the
-    *whole universe* are evaluated once per session
-    (``SketchStack.prepare_universe``), and every prepared chunk —
-    boundary probe, non-probed fan-out, bisection subrange, catch-up —
-    becomes an ``np.bincount`` over the staged slice plus a column
-    gather at the nonzero support (``prepare_counts``).  That eliminates
-    both the per-chunk ``np.unique`` sort and the per-chunk stacked hash
-    pass of the bytes-shipped path while producing bit-for-bit identical
-    preps: the sorted nonzero support of an insertion-only count vector
-    equals ``np.unique`` of the slice, and the counts at the support
-    equal the aggregated deltas.
-
-    Bisection leaf scans get the same treatment: ``step_probed`` routes
-    per-item updates through one fancy-indexed scatter-add across all
-    probed planes (``step_item``) instead of k template ``update``
-    calls, gated off when candidate tracking is live (heuristic state
-    the fast path does not mirror).
-
-    Stacks that do not support universe columns — and any overweight
-    universe — fall back per-stack to the inherited prepare path, so
-    mixing stacked and unstacked groups stays correct.
-    """
-
-    def __init__(
-        self, copies: CopyManager, universe: int, unique_hint: bool = False
-    ):
-        super().__init__(copies, unique_hint=unique_hint)
-        if universe < 1:
-            raise ValueError(f"universe must be >= 1, got {universe}")
-        self.universe = int(universe)
-        #: id(stack) -> universe columns (None = stack unsupported).
-        self._ucols: dict[int, object] = {}
-        #: id(stack) -> whether the vectorized leaf step is safe.
-        self._fast: dict[int, bool] = {}
-
-    def _universe_cols(self, stack):
-        cols = self._ucols.get(id(stack))
-        if cols is None and id(stack) not in self._ucols:
-            eligible = (
-                getattr(stack, "supports_universe", False)
-                and stack.planes * getattr(stack, "rows", 1) * self.universe
-                <= UNIVERSE_PREP_CAP
-            )
-            cols = stack.prepare_universe(self.universe) if eligible else None
-            self._ucols[id(stack)] = cols
-        return cols
-
-    def _step_fast(self, stack) -> bool:
-        flag = self._fast.get(id(stack))
-        if flag is None:
-            flag = (
-                self._universe_cols(stack) is not None
-                and hasattr(stack, "step_item")
-                and all(
-                    getattr(s, "_track_candidates", 1) == 0
-                    for s in stack.sketches
-                )
-            )
-            self._fast[id(stack)] = flag
-        return flag
-
-    def _prepare_range(self, stack, lo: int, hi: int, full):
-        cols = self._universe_cols(stack)
-        if cols is None:
-            return super()._prepare_range(stack, lo, hi, full)
-        counts = np.bincount(self._items[lo:hi], minlength=self.universe)
-        if len(counts) > self.universe:
-            raise ValueError(
-                f"staged chunk contains items >= universe {self.universe}; "
-                "the chunk source's universe promise is violated"
-            )
-        return stack.prepare_counts(cols, counts)
-
-    def replace(self, idx: int, rng: np.random.Generator) -> None:
-        super().replace(idx, rng)
-        hit = self._copies._plane_of.get(idx)
-        if hit is not None:
-            stack = self._copies.stacks[hit[0]]
-            cols = self._ucols.get(id(stack))
-            if cols is not None:
-                stack.refresh_universe(cols, hit[1])
-
-    def _step_stack(self, stack, planes, item: int, delta: int) -> None:
-        if self._step_fast(stack):
-            stack.step_item(self._universe_cols(stack), item, delta, planes)
-        else:
-            super()._step_stack(stack, planes, item, delta)
-
-    def close(self) -> None:
-        super().close()
-        self._ucols.clear()
-        self._fast.clear()

@@ -67,11 +67,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.copies import (
-    CopyManager,
-    LocalCopyBackend,
-    UniverseLocalBackend,
-)
+from repro.core.copies import CopyManager, LocalCopyBackend
 from repro.obs import (
     NULL_TELEMETRY,
     MaterializeFaultEvent,
@@ -673,8 +669,8 @@ class IngestSession(abc.ABC):
     spec_shipped: bool = False
 
     #: How the planner decided to execute a ChunkSource, if one was
-    #: supplied: "spec", "universe", or "bytes: <reason>" — surfaced by
-    #: IngestReport so the fallback to bytes-shipping is observable.
+    #: supplied: "spec" or "bytes: <reason>" — surfaced by IngestReport
+    #: so the fallback to bytes-shipping is observable.
     source_mode: str | None = None
 
     def feed_source(self, source) -> None:
@@ -741,16 +737,16 @@ class _SwitchingSession(IngestSession):
     """Per-copy fan-out session for switching estimators (any band)."""
 
     def __init__(self, estimator, plan: SwitchingShardPlan, backend,
-                 mode: str, raw_hoists: bool = False, spec_source=None):
+                 mode: str, spec_source=None):
         self._est = estimator
         self._plan = plan
         self._backend = backend
-        # Raw-driven backends (the universe fast path, spec-shipping)
-        # consume the unaggregated stream positionally: the coordinator
-        # never materializes a deduped view to hand them, so the plan's
-        # seen-filter/aggregate-once hoists are turned off and the
-        # backend does its own shared-work hoisting.
-        hoists_off = raw_hoists or spec_source is not None
+        # A spec-shipped session consumes the unaggregated stream
+        # positionally: the coordinator never materializes a deduped
+        # view to hand the workers, so the plan's seen-filter and
+        # aggregate-once hoists are turned off and the workers' backends
+        # do their own shared-work hoisting.
+        hoists_off = spec_source is not None
         self._protocol = SwitchingProtocol(
             plan.switcher, backend,
             seen_filter=None if hoists_off else plan.hoists.make_seen_filter(),
@@ -992,20 +988,11 @@ class _ProcessMergeSession(IngestSession):
 # ----------------------------------------------------------------------
 
 
-def _serial_session(estimator: Sketch, plan, source, src_mode,
+def _serial_session(estimator: Sketch, plan, src_mode,
                     reason) -> IngestSession:
     """The in-process session for ``plan``: what :class:`SerialEngine`
     always opens and :class:`ProcessEngine` opens when it does not fork."""
     if isinstance(plan, SwitchingShardPlan):
-        if src_mode == "universe":
-            backend = UniverseLocalBackend(
-                plan.switcher._copies, source.universe
-            )
-            session = _SwitchingSession(
-                estimator, plan, backend, mode="serial", raw_hoists=True
-            )
-            session.source_mode = "universe"
-            return session
         session = _SwitchingSession(
             estimator, plan,
             LocalCopyBackend(plan.switcher._copies, plan.unique_hint),
@@ -1046,7 +1033,7 @@ class ExecutionEngine(abc.ABC):
         ``source`` is an optional :class:`~repro.streams.sources.ChunkSource`
         the caller intends to drive through :meth:`IngestSession.feed_source`;
         engines use it to pick a faster execution path (spec-shipping to
-        process workers, the serial universe fast path) when licensed.
+        process workers) when licensed.
         """
 
 
@@ -1064,7 +1051,7 @@ class SerialEngine(ExecutionEngine):
     def session(self, estimator: Sketch, source=None) -> IngestSession:
         plan = plan_shards(estimator)
         src_mode, reason = source_mode_for(plan, source, parallel=False)
-        return _serial_session(estimator, plan, source, src_mode, reason)
+        return _serial_session(estimator, plan, src_mode, reason)
 
 
 class ProcessEngine(ExecutionEngine):
@@ -1146,7 +1133,7 @@ class ProcessEngine(ExecutionEngine):
                 plan, self.workers, self.chunk_capacity
             )
         else:
-            return _serial_session(estimator, plan, source, src_mode, reason)
+            return _serial_session(estimator, plan, src_mode, reason)
         if src_mode == "bytes":
             session.source_mode = f"bytes: {reason}"
         return session

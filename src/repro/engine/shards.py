@@ -44,7 +44,10 @@ sharded path cheaper than feeding each copy independently, even before
 any process parallelism:
 
 * chunk aggregation — dedupe/aggregate the chunk once instead of once
-  per copy (valid when every inner sketch is ``aggregation_invariant``);
+  per copy (valid when every inner sketch is ``aggregation_invariant``;
+  licensed only when some copy is on the object path, since each
+  stacked copy group already aggregates a chunk once for all its
+  copies);
 * first-occurrence filtering — drop items every live copy has already
   seen (valid when every inner sketch is ``duplicate_insensitive``: a
   re-occurring item provably cannot move any copy's state, hence cannot
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.bands import BandPolicy
-from repro.core.copies import CopyManager, universe_licensed
+from repro.core.copies import CopyManager
 from repro.core.sketch_switching import SwitchingEstimator
 from repro.sketches.base import Sketch
 
@@ -164,19 +167,27 @@ class CopyHoists:
     #: All copies are duplicate-insensitive: first-occurrence filtering
     #: is exact.
     filter_duplicates: bool = False
-    #: All copies are aggregation-invariant: the chunk can be aggregated
-    #: once on the coordinator instead of once per copy.
+    #: All copies are aggregation-invariant and at least one is on the
+    #: object path: the chunk can be aggregated once on the coordinator
+    #: instead of once per copy.  A fully stacked copy set already
+    #: aggregates once per stack, so a coordinator pass would be a
+    #: second one.
     aggregate_once: bool = False
     #: ``update_batch`` accepts ``assume_unique=True`` (KMV): pre-deduped
     #: feeds skip the per-copy dedup entirely.
     unique_hint: bool = False
 
     @classmethod
-    def licensed_by(cls, sketches, universe: int | None) -> "CopyHoists":
+    def licensed_by(cls, copies: CopyManager,
+                    universe: int | None) -> "CopyHoists":
+        sketches = copies.sketches
+        _, unstacked = copies.stack_plan(range(copies.count))
         return cls(
             universe=universe,
             filter_duplicates=all(s.duplicate_insensitive for s in sketches),
-            aggregate_once=all(s.aggregation_invariant for s in sketches),
+            aggregate_once=bool(unstacked) and all(
+                s.aggregation_invariant for s in sketches
+            ),
             unique_hint=all(_accepts_assume_unique(s) for s in sketches),
         )
 
@@ -274,7 +285,7 @@ ShardPlan = SwitchingShardPlan | EpochShardPlan | MergeShardPlan | SerialPlan
 def _switching_plan(switcher: SwitchingEstimator, universe) -> SwitchingShardPlan:
     return SwitchingShardPlan(
         switcher=switcher,
-        hoists=CopyHoists.licensed_by(switcher._sketches, universe),
+        hoists=CopyHoists.licensed_by(switcher._copies, universe),
     )
 
 
@@ -308,7 +319,7 @@ def plan_shards(estimator: Sketch) -> ShardPlan:
             wrapper=estimator,
             l2_plan=_switching_plan(inner, getattr(l2, "n", universe)),
             ring=ring,
-            ring_hoists=CopyHoists.licensed_by(ring.sketches, universe),
+            ring_hoists=CopyHoists.licensed_by(ring, universe),
         )
     switcher = estimator if isinstance(
         estimator, SwitchingEstimator
@@ -335,13 +346,10 @@ def source_mode_for(plan: ShardPlan, source, parallel: bool):
 
     * ``"spec"`` — a parallel switching session broadcasts the picklable
       spec and workers materialize chunks locally (no per-chunk staging);
-    * ``"universe"`` — a serial switching session whose copy set
-      licenses the counts-based fast path materializes coordinator-side
-      but prepares chunks from ``bincount`` over the source's promised
-      universe;
     * ``"bytes"`` — coordinator-side materialization through the
-      ordinary staged-bytes path, with ``reason`` saying why (surfaced
-      in ``IngestReport`` so the fallback is observable, not silent).
+      ordinary staged-bytes path, with ``reason`` saying why the session
+      is not spec-shipped (surfaced in ``IngestReport`` so the fallback
+      is observable, not silent).
 
     ``mode`` is ``None`` when no source is involved.
     """
@@ -354,10 +362,7 @@ def source_mode_for(plan: ShardPlan, source, parallel: bool):
         )
     if parallel and plan.switcher.copies > 1:
         return "spec", None
-    copies = plan.switcher._copies
-    if universe_licensed(copies, source.universe, source.unit_deltas):
-        return "universe", None
     return "bytes", (
-        "universe fast path not licensed (needs a known item universe, "
-        "unit deltas, and a stacked copy group); shipping bytes"
+        "spec shipping needs a parallel process session over at least "
+        "2 copies; shipping bytes"
     )

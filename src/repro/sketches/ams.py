@@ -333,7 +333,7 @@ class AMSStack(SketchStack):
             return None
         if int(items.min()) < 0:
             raise ValueError("AMS items must be non-negative")
-        unique, summed = aggregate_batch(items, deltas)
+        unique, summed = self._aggregate(items, deltas)
         return _AMSPrep(unique, summed.astype(np.float64))
 
     def feed(self, prepared, planes) -> None:
@@ -353,12 +353,11 @@ class AMSStack(SketchStack):
         )
         return np.median(means, axis=1)
 
-    def install(self, plane: int, sketch) -> None:
+    def _install(self, plane: int, sketch) -> None:
         if sketch._y.shape != self.ys[plane].shape:
             raise ValueError("cannot install an AMS sketch of different shape")
         self.ys[plane] = sketch._y
         sketch._y = self.ys[plane]
-        self.sketches[plane] = sketch
 
     def save(self, planes):
         sel = np.asarray(list(planes), dtype=np.intp)

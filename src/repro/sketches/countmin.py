@@ -141,12 +141,12 @@ class CountMinSketch(PointQuerySketch):
 class _CountMinPrep:
     """A chunk aggregated and hashed once, ready to feed any plane subset."""
 
-    __slots__ = ("unique", "summed", "buckets", "f1")
+    __slots__ = ("unique", "summed", "columns", "f1")
 
-    def __init__(self, unique, summed, buckets, f1):
+    def __init__(self, unique, summed, columns, f1):
         self.unique = unique  # sorted distinct items (np.unique order)
         self.summed = summed
-        self.buckets = buckets  # (planes, rows, distinct) bucket columns
+        self.columns = columns  # ((planes, rows, distinct) buckets,)
         self.f1 = f1
 
 
@@ -154,6 +154,8 @@ class CountMinStack(SketchStack):
     """Stacked counter tables for k CountMin copies: one ``(k, rows, width)``
     int64 block, one shared bucket-hash pass per chunk, one flat bincount
     to scatter into any subset of planes."""
+
+    _column_dtypes = (np.intp,)
 
     def _adopt(self):
         first = self.sketches[0]
@@ -165,34 +167,27 @@ class CountMinStack(SketchStack):
         for p, s in enumerate(self.sketches):
             s._table = self.tables[p]
 
+    def _hash_columns(self, xs):
+        buckets = hash_many_stacked(
+            [h for s in self.sketches for h in s._hashes], xs
+        ) % np.uint64(self.width)
+        return (buckets.astype(np.intp).reshape(self.planes, self.rows, -1),)
+
     def prepare(self, items, deltas=None):
-        items, deltas = as_batch_arrays(items, deltas)
-        if len(items) == 0:
-            return None
-        if np.any(deltas < 0):
-            raise ValueError("CountMin requires non-negative updates")
-        unique, summed = aggregate_batch(items, deltas)
-        hashes = [h for s in self.sketches for h in s._hashes]
-        buckets = (
-            hash_many_stacked(hashes, unique) % np.uint64(self.width)
-        ).astype(np.intp)
-        return _CountMinPrep(
-            unique, summed,
-            buckets.reshape(self.planes, self.rows, -1), int(summed.sum()),
-        )
+        return self._prepare(items, deltas, None)
 
     def subset(self, prepared, items, deltas=None):
+        return self._prepare(items, deltas, prepared)
+
+    def _prepare(self, items, deltas, full):
         items, deltas = as_batch_arrays(items, deltas)
         if len(items) == 0:
             return None
         if np.any(deltas < 0):
             raise ValueError("CountMin requires non-negative updates")
-        unique, summed = aggregate_batch(items, deltas)
-        # Every distinct item of the slice is in the full chunk's sorted
-        # unique array; gather its bucket columns instead of re-hashing.
-        idx = np.searchsorted(prepared.unique, unique)
+        unique, summed = self._aggregate(items, deltas)
         return _CountMinPrep(
-            unique, summed, prepared.buckets[:, :, idx], int(summed.sum())
+            unique, summed, self._columns(unique, full), int(summed.sum())
         )
 
     def feed(self, prepared, planes) -> None:
@@ -201,9 +196,10 @@ class CountMinStack(SketchStack):
         sel = np.asarray(list(planes), dtype=np.intp)
         if len(sel) == 0:
             return
-        distinct = prepared.buckets.shape[2]
+        buckets = prepared.columns[0]
+        distinct = buckets.shape[2]
         rows = len(sel) * self.rows
-        flat = prepared.buckets[sel].reshape(rows, distinct)
+        flat = buckets[sel].reshape(rows, distinct)
         flat = flat + np.arange(rows, dtype=np.intp)[:, None] * self.width
         # One bincount over all (plane, row) blocks: flat indices are
         # disjoint per block and C-order keeps items in stream order per
@@ -223,12 +219,11 @@ class CountMinStack(SketchStack):
     def query_all(self) -> np.ndarray:
         return np.array([float(s._f1) for s in self.sketches], dtype=np.float64)
 
-    def install(self, plane: int, sketch) -> None:
+    def _install(self, plane: int, sketch) -> None:
         if sketch._table.shape != self.tables[plane].shape:
             raise ValueError("cannot install a CountMin of different shape")
         self.tables[plane] = sketch._table
         sketch._table = self.tables[plane]
-        self.sketches[plane] = sketch
 
     def save(self, planes):
         sel = np.asarray(list(planes), dtype=np.intp)

@@ -254,12 +254,11 @@ class CountSketch(PointQuerySketch):
 class _CountSketchPrep:
     """A chunk aggregated, bucket-hashed and sign-weighted for all planes."""
 
-    __slots__ = ("unique", "buckets", "signs", "weighted")
+    __slots__ = ("unique", "columns", "weighted")
 
-    def __init__(self, unique, buckets, signs, weighted):
+    def __init__(self, unique, columns, weighted):
         self.unique = unique  # sorted distinct items (np.unique order)
-        self.buckets = buckets  # (planes, rows, distinct) bucket columns
-        self.signs = signs  # (planes, rows, distinct) +-1.0 sign columns
+        self.columns = columns  # (planes, rows, distinct) buckets and signs
         self.weighted = weighted  # (planes, rows, distinct) sign * delta
 
 
@@ -270,7 +269,7 @@ class CountSketchStack(SketchStack):
     bookkeeping stays on the per-plane templates (it is heuristic scalar
     state), exactly mirroring ``update_batch``."""
 
-    supports_universe = True
+    _column_dtypes = (np.intp, np.float64)
 
     def _adopt(self):
         first = self.sketches[0]
@@ -281,99 +280,50 @@ class CountSketchStack(SketchStack):
         self.tables = stack_rows([s._table for s in self.sketches])
         for p, s in enumerate(self.sketches):
             s._table = self.tables[p]
+        self._row_idx = np.arange(self.rows)
+
+    def _hash_columns(self, xs):
+        shape = (self.planes, self.rows, len(xs))
+        buckets = hash_many_stacked(
+            [h for s in self.sketches for h in s._buckets], xs
+        ) % np.uint64(self.width)
+        signs = sign_many_stacked(
+            [g for s in self.sketches for g in s._signs], xs
+        )
+        return buckets.astype(np.intp).reshape(shape), signs.reshape(shape)
 
     def prepare(self, items, deltas=None):
-        items, deltas = as_batch_arrays(items, deltas)
-        if len(items) == 0:
-            return None
-        unique, summed = aggregate_batch(items, deltas)
-        buckets = [h for s in self.sketches for h in s._buckets]
-        signs = [g for s in self.sketches for g in s._signs]
-        cols = (
-            hash_many_stacked(buckets, unique) % np.uint64(self.width)
-        ).astype(np.intp)
-        shape = (self.planes, self.rows, len(unique))
-        sign_cols = sign_many_stacked(signs, unique).reshape(shape)
-        weighted = sign_cols * summed.astype(np.float64)
-        return _CountSketchPrep(unique, cols.reshape(shape), sign_cols, weighted)
-
-    def prepare_universe(self, universe: int):
-        """Bucket/sign columns for all of ``[0, universe)``, hashed once.
-
-        Returned as a :class:`_CountSketchPrep` whose ``unique`` is the
-        full identity ``arange(universe)`` and whose ``weighted`` is
-        unset — :meth:`prepare_counts` gathers per-chunk supports out of
-        it, and :meth:`step_item` single items.  This trades
-        ``planes * rows * universe * 16`` bytes (held for the session)
-        for never hashing or sorting a chunk again.
-        """
-        ids = np.arange(universe, dtype=np.int64)
-        buckets = [h for s in self.sketches for h in s._buckets]
-        signs = [g for s in self.sketches for g in s._signs]
-        cols = (
-            hash_many_stacked(buckets, ids) % np.uint64(self.width)
-        ).astype(np.intp)
-        shape = (self.planes, self.rows, universe)
-        sign_cols = sign_many_stacked(signs, ids).reshape(shape)
-        return _CountSketchPrep(ids, cols.reshape(shape), sign_cols, None)
-
-    def prepare_counts(self, ucols, counts):
-        """Prepared chunk from a dense count vector over the universe.
-
-        For an insertion-only chunk, ``np.nonzero(counts)`` is exactly
-        ``np.unique(items)`` and ``counts`` at the support is exactly
-        ``aggregate_batch``'s summed deltas, so the result equals
-        :meth:`prepare` bit for bit while skipping both the sort and the
-        hash pass.
-        """
-        support = np.nonzero(counts)[0]
-        if len(support) == 0:
-            return None
-        cols = ucols.buckets[:, :, support]
-        sign_cols = ucols.signs[:, :, support]
-        weighted = sign_cols * counts[support].astype(np.float64)
-        return _CountSketchPrep(
-            support.astype(np.int64), cols, sign_cols, weighted
-        )
-
-    def refresh_universe(self, ucols, plane: int) -> None:
-        sketch = self.sketches[plane]
-        ucols.buckets[plane] = (
-            hash_many_stacked(sketch._buckets, ucols.unique)
-            % np.uint64(self.width)
-        ).astype(np.intp)
-        ucols.signs[plane] = sign_many_stacked(sketch._signs, ucols.unique)
-
-    def step_item(self, ucols, item, delta, planes) -> None:
-        """One per-item update across a set of planes, via universe columns.
-
-        The same scatter-adds ``CountSketch.update`` issues — one cell
-        per (plane, row), no duplicate targets — grouped into a single
-        fancy-indexed add.  Candidate bookkeeping is *not* mirrored;
-        callers gate on ``_track_candidates == 0``.
-        """
-        sel = np.asarray(list(planes), dtype=np.intp)
-        if len(sel) == 0:
-            return
-        buckets = ucols.buckets[sel, :, item]
-        signs = ucols.signs[sel, :, item]
-        rows = np.arange(self.rows)
-        self.tables[sel[:, None], rows[None, :], buckets] += signs * float(delta)
+        return self._prepare(items, deltas, None)
 
     def subset(self, prepared, items, deltas=None):
+        return self._prepare(items, deltas, prepared)
+
+    def _prepare(self, items, deltas, full):
         items, deltas = as_batch_arrays(items, deltas)
         if len(items) == 0:
             return None
-        unique, summed = aggregate_batch(items, deltas)
-        # Gather the slice's bucket/sign columns from the full chunk's
-        # hash pass; sign * delta is exact (+-1.0 times an integer-valued
-        # float), so the recombined weights match a fresh prepare bit for
-        # bit.
-        idx = np.searchsorted(prepared.unique, unique)
-        cols = prepared.buckets[:, :, idx]
-        sign_cols = prepared.signs[:, :, idx]
-        weighted = sign_cols * summed.astype(np.float64)
-        return _CountSketchPrep(unique, cols, sign_cols, weighted)
+        unique, summed = self._aggregate(items, deltas)
+        columns = self._columns(unique, full)
+        # sign * delta is exact (+-1.0 times an integer-valued float), so
+        # memoized or gathered columns weigh a chunk exactly as a fresh
+        # hash pass would.
+        weighted = columns[1] * summed.astype(np.float64)
+        return _CountSketchPrep(unique, columns, weighted)
+
+    def step(self, planes, item: int, delta: int) -> None:
+        """The scatter-adds ``CountSketch.update`` issues on each plane —
+        one cell per (plane, row), no duplicate targets — as one
+        fancy-indexed add of memoized columns.  Items not in the memo,
+        and planes tracking candidates (heuristic state this does not
+        mirror), take the template path."""
+        known = self._known
+        if (known is None or not 0 <= item < len(known) or not known[item]
+                or any(self.sketches[p]._track_candidates for p in planes)):
+            super().step(planes, item, delta)
+            return
+        sel = np.asarray(planes, dtype=np.intp)
+        buckets, signs = (memo[sel, :, item] for memo in self._memo)
+        self.tables[sel[:, None], self._row_idx, buckets] += signs * float(delta)
 
     def feed(self, prepared, planes) -> None:
         if prepared is None:
@@ -381,9 +331,10 @@ class CountSketchStack(SketchStack):
         sel = np.asarray(list(planes), dtype=np.intp)
         if len(sel) == 0:
             return
-        distinct = prepared.buckets.shape[2]
+        buckets = prepared.columns[0]
+        distinct = buckets.shape[2]
         rows = len(sel) * self.rows
-        flat = prepared.buckets[sel].reshape(rows, distinct)
+        flat = buckets[sel].reshape(rows, distinct)
         flat = flat + np.arange(rows, dtype=np.intp)[:, None] * self.width
         counts = np.bincount(
             flat.ravel(),
@@ -404,12 +355,11 @@ class CountSketchStack(SketchStack):
         row_mass = (self.tables * self.tables).sum(axis=2)
         return np.median(row_mass, axis=1)
 
-    def install(self, plane: int, sketch) -> None:
+    def _install(self, plane: int, sketch) -> None:
         if sketch._table.shape != self.tables[plane].shape:
             raise ValueError("cannot install a CountSketch of different shape")
         self.tables[plane] = sketch._table
         sketch._table = self.tables[plane]
-        self.sketches[plane] = sketch
 
     def save(self, planes):
         sel = np.asarray(list(planes), dtype=np.intp)

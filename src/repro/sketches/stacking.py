@@ -13,8 +13,13 @@ per-copy loops into single kernels:
 
 * ``prepare`` aggregates a chunk once and evaluates the hash columns for
   **all** planes in one stacked Horner sweep
-  (:func:`repro.hashing.field.poly_eval_stacked`);
-* ``feed`` scatter-adds a prepared chunk into any subset of planes;
+  (:func:`repro.hashing.field.poly_eval_stacked`).  A *dense* chunk —
+  items in a range small enough for :data:`DENSE_CAP` — aggregates by
+  ``bincount`` instead of a sort, and its columns come from a per-item
+  memo, so only items the stack has not seen before are hashed: a
+  replay over a fixed universe hashes each item once per copy;
+* ``feed`` scatter-adds a prepared chunk into any subset of planes, and
+  ``step`` applies one update to several planes (bisection leaves);
 * ``query_all`` reduces the whole stack to per-copy estimates in one
   vectorized pass.
 
@@ -46,6 +51,14 @@ import abc
 
 import numpy as np
 
+from repro.sketches.base import aggregate_batch
+
+#: Cap on ``top * planes * rows`` for a chunk to count as dense, where
+#: every item lies in ``[0, top)``: dense chunks aggregate by
+#: ``bincount`` and take their hash columns from a per-item memo of
+#: ``planes * rows * top`` elements (at 16 bytes each, ~64 MB at most).
+DENSE_CAP = 4_000_000
+
 
 class SketchStack(abc.ABC):
     """Stacked state for a contiguous homogeneous group of sketch copies.
@@ -64,15 +77,22 @@ class SketchStack(abc.ABC):
     collect installs the workers' copies back, plane by plane.
     """
 
-    #: Whether :meth:`prepare_universe` / :meth:`prepare_counts` are
-    #: implemented (the counts-based serial fast path checks this).
-    supports_universe = False
+    #: Hash rows per plane; sizes the dense column memo.
+    rows = 1
+    #: Dtype of each array :meth:`_hash_columns` returns.
+    _column_dtypes: tuple = ()
 
     def __init__(self, sketches):
         self.sketches = list(sketches)
         if not self.sketches:
             raise ValueError("a sketch stack needs at least one copy")
         self._adopt()
+        #: Items below this bound make a chunk *dense*.
+        self._dense_top = DENSE_CAP // (self.planes * self.rows)
+        #: Dense memo of per-item hash columns, ``(planes, rows, size)``
+        #: arrays, and which items it holds; ``None`` until first used.
+        self._memo: tuple[np.ndarray, ...] | None = None
+        self._known: np.ndarray | None = None
 
     @property
     def planes(self) -> int:
@@ -93,59 +113,93 @@ class SketchStack(abc.ABC):
         validation, in the same order, as the sketch's ``update_batch``.
         """
 
-    def prepare_universe(self, universe: int):
-        """Hash columns for *every* item of ``[0, universe)``, or ``None``.
+    def _aggregate(self, items, deltas):
+        """``aggregate_batch(items, deltas)``, by ``bincount`` when dense.
 
-        A stack that supports counts-based preparation returns an opaque
-        columns object covering the whole item universe — one hash pass
-        per session instead of one per chunk.  :meth:`prepare_counts`
-        then builds prepared chunks from a dense count vector without
-        sorting or re-hashing anything.  The base implementation returns
-        ``None`` (unsupported), which keeps the per-chunk prepare path.
+        The support is taken from occurrence counts, so zero-sum items
+        stay, as they do in ``aggregate_batch``; per bin the weighted
+        ``bincount`` adds in input order, so the sums are bit-for-bit
+        ``aggregate_batch``'s.  ``items`` must be non-empty.
         """
-        return None
+        if int(items.min()) < 0 or int(items.max()) >= self._dense_top:
+            return aggregate_batch(items, deltas)
+        support = np.flatnonzero(np.bincount(items))
+        summed = np.bincount(items, weights=deltas)[support]
+        return support.astype(np.int64), summed.astype(np.int64)
 
-    def prepare_counts(self, ucols, counts):
-        """Prepared chunk from universe columns plus a dense count vector.
+    def _hash_columns(self, xs) -> tuple[np.ndarray, ...]:
+        """Per-plane hash columns of ``xs``: one ``(planes, rows,
+        len(xs))`` array per column kind.  Stacks that use
+        :meth:`_columns` override it."""
+        raise NotImplementedError
 
-        ``counts[i]`` is the summed delta of item ``i`` over the chunk
-        (``np.bincount`` of the chunk's items); ``ucols`` comes from
-        :meth:`prepare_universe`.  The result is bit-for-bit the
-        :meth:`prepare` of the same chunk: the nonzero support of an
-        insertion-only count vector *is* the sorted distinct-item set,
-        and the gathered hash columns are the same hash evaluations.
-        Only stacks whose :meth:`prepare_universe` returns non-``None``
-        implement this.
+    def _columns(self, unique, full=None) -> tuple[np.ndarray, ...]:
+        """:meth:`_hash_columns` of the sorted distinct ``unique``.
+
+        Dense input is served from the memo, and only items not yet in
+        it are hashed.  Other input is not stored: it is gathered out of
+        ``full``, a prepared chunk of which ``unique`` covers a
+        subrange (its items are all in ``full.unique``), or else hashed.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support counts-based prepare"
+        top = int(unique[-1]) + 1
+        if unique[0] < 0 or top > self._dense_top:
+            if full is None:
+                return self._hash_columns(unique)
+            idx = np.searchsorted(full.unique, unique)
+            return tuple(cols[:, :, idx] for cols in full.columns)
+        if self._known is None or len(self._known) < top:
+            self._grow(top)
+        missing = unique[~self._known[unique]]
+        if len(missing):
+            for memo, cols in zip(self._memo, self._hash_columns(missing)):
+                memo[:, :, missing] = cols
+            self._known[missing] = True
+        if len(unique) == top:
+            # unique is arange(top).  A view is safe: memo entries are
+            # only ever written while unknown, and growth or install
+            # replaces the arrays instead of writing into them.
+            return tuple(memo[:, :, :top] for memo in self._memo)
+        return tuple(memo[:, :, unique] for memo in self._memo)
+
+    def _grow(self, top: int) -> None:
+        """Widen the memo to hold items below ``top`` (at least doubling)."""
+        held = 0 if self._known is None else len(self._known)
+        size = min(self._dense_top, max(top, 2 * held))
+        memo = tuple(
+            np.empty((self.planes, self.rows, size), dtype=dtype)
+            for dtype in self._column_dtypes
         )
-
-    def refresh_universe(self, ucols, plane: int) -> None:
-        """Re-hash one plane of :meth:`prepare_universe` columns in place.
-
-        Called after :meth:`install` put a reseeded copy in ``plane``,
-        whose hash functions differ from the columns' old ones.  Only
-        stacks that implement :meth:`prepare_counts` implement this.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support counts-based prepare"
-        )
+        known = np.zeros(size, dtype=bool)
+        if held:
+            for new, old in zip(memo, self._memo):
+                new[:, :, :held] = old
+            known[:held] = self._known
+        self._memo, self._known = memo, known
 
     def subset(self, prepared, items, deltas):
         """Prepared chunk for a *subrange* of an already-prepared chunk.
 
         ``prepared`` must be the result of :meth:`prepare` over a chunk
         of which ``items``/``deltas`` is a contiguous slice.  Subclasses
-        whose prepare does per-plane hashing override this to gather the
-        subrange's hash columns out of the full-chunk pass instead of
-        re-hashing (every distinct item of the slice already has its
-        columns in ``prepared``) — the crossing-search bisection requests
-        many nested subranges of one staged chunk, so this turns
-        O(log chunk) hash passes per crossing into one.  The default just
-        re-prepares; results are bit-for-bit identical either way.
+        whose prepare does per-plane hashing override this to take the
+        subrange's hash columns from the memo or out of the full-chunk
+        pass (:meth:`_columns`) instead of re-hashing — the
+        crossing-search bisection requests many nested subranges of one
+        staged chunk, so this turns O(log chunk) hash passes per
+        crossing into at most one.  The default just re-prepares;
+        results are bit-for-bit identical either way.
         """
         return self.prepare(items, deltas)
+
+    def step(self, planes, item: int, delta: int) -> None:
+        """One per-item update on the given planes (bisection leaves).
+
+        The default makes the templates' own ``update`` calls, whose
+        in-place writes flow through the plane views; subclasses may
+        vectorize it, bit for bit.
+        """
+        for p in planes:
+            self.sketches[p].update(item, delta)
 
     @abc.abstractmethod
     def feed(self, prepared, planes) -> None:
@@ -164,7 +218,6 @@ class SketchStack(abc.ABC):
         bit-for-bit — same reduction ops applied per plane.
         """
 
-    @abc.abstractmethod
     def install(self, plane: int, sketch) -> None:
         """Make ``sketch`` the template for ``plane``.
 
@@ -172,7 +225,17 @@ class SketchStack(abc.ABC):
         rebinds its array attribute to the plane view.  This is the only
         sanctioned way to swap a copy (retire, restart-ring advance,
         rollback replacement, worker collect) while a stack is live.
+        It drops the column memo, because a reseeded copy hashes
+        differently.
         """
+        self._install(plane, sketch)
+        self.sketches[plane] = sketch
+        self._memo = self._known = None
+
+    @abc.abstractmethod
+    def _install(self, plane: int, sketch) -> None:
+        """Copy ``sketch``'s array state into ``plane`` and rebind its
+        array attribute to the plane view."""
 
     @abc.abstractmethod
     def save(self, planes):

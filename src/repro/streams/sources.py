@@ -57,12 +57,6 @@ class ChunkSource(ABC):
     total: int
     #: Materialization granularity (last chunk may be shorter).
     chunk_size: int
-    #: Item universe size: every item is in ``[0, universe)`` — or
-    #: ``None`` when the source cannot promise a bound.  A known universe
-    #: licenses the serial engine's counts-based prepare fast path.
-    universe: int | None
-    #: True when every delta is +1 (insertion-only with unit weights).
-    unit_deltas: bool
 
     @abstractmethod
     def spec(self) -> dict:
@@ -103,8 +97,6 @@ class GeneratorChunkSource(ChunkSource):
     identical on every worker that holds the spec.
     """
 
-    unit_deltas = True
-
     def __init__(
         self,
         name: str,
@@ -129,7 +121,6 @@ class GeneratorChunkSource(ChunkSource):
         self.seed = seed
         self.chunk_size = int(chunk_size)
         self.params = dict(params)
-        self.universe = self.n
 
     def spec(self) -> dict:
         return {
@@ -187,9 +178,6 @@ class StoreChunkSource(ChunkSource):
         self.stop = int(stop)
         self.total = self.stop - self.start
         self.chunk_size = int(chunk_size)
-        self.unit_deltas = store.unit_deltas
-        params = store.params
-        self.universe = params.n if params is not None else None
 
     def spec(self) -> dict:
         return {

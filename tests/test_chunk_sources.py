@@ -260,13 +260,13 @@ class TestSerialEquivalence:
         for c in src.chunks():
             chunked.update_batch(c.items, c.deltas)
 
-        universe = _stacked_dp()
-        with SerialEngine().session(universe, source=src) as session:
-            assert session.source_mode == "universe"
+        sourced = _stacked_dp()
+        with SerialEngine().session(sourced, source=src) as session:
+            assert session.source_mode.startswith("bytes:")
             session.feed_source(src)
 
         assert _state(chunked) == _state(per_item)
-        assert _state(universe) == _state(per_item)
+        assert _state(sourced) == _state(per_item)
 
     def test_mid_chunk_bisection_occurs(self):
         # Sanity for the docstring above: this workload really does
@@ -371,7 +371,8 @@ class TestIngestSourceSurface:
         a = ingest(_stacked_dp(), src, engine="serial")
         b = ingest(_stacked_dp(), source=src, engine="serial")
         assert a.final_estimate == b.final_estimate
-        assert a.source_mode == b.source_mode == "universe"
+        assert a.source_mode == b.source_mode
+        assert a.source_mode.startswith("bytes:")
 
     def test_adhoc_iterable_falls_back_to_bytes(self):
         report = ingest(_stacked_dp(), source=[1, 2, 3, 1, 2],
@@ -396,15 +397,3 @@ class TestIngestSourceSurface:
         np.testing.assert_array_equal(
             np.asarray(replay.items[:]), _materialize(src)[0]
         )
-
-    def test_universe_gate_reason_surfaced(self, tmp_path):
-        # A store written without stream parameters promises no item
-        # universe, so the serial fast path isn't licensed; the planner
-        # must say so rather than silently shipping bytes.
-        updates = [Update(i % 16, 1) for i in range(1_000)]
-        write_stream(tmp_path / "s", updates, chunk_size=128)
-        src = StoreChunkSource(tmp_path / "s", chunk_size=500)
-        assert src.universe is None
-        report = ingest(_stacked_dp(), source=src, engine="serial")
-        assert report.source_mode.startswith("bytes:")
-        assert "not licensed" in report.source_mode

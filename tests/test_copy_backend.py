@@ -7,9 +7,9 @@ a shard boundary may cut a copy group: the part keeping two or more
 copies is stacked again, a single-copy remainder takes the object path.
 These tests pin the shard rules, bit-for-bit equality of a shard-split
 difference ladder with the per-item path, that a copy reseeded inside a
-chunk is fed with its own hash columns on every stacked path, and that
-a failed session leaves no worker process and no shared-memory segment
-behind.
+chunk is fed with its own hash columns on every stacked path, that a
+killed worker fails the next chunk, and that a failed session leaves no
+worker process and no shared-memory segment behind.
 """
 
 import multiprocessing as mp
@@ -26,6 +26,7 @@ from repro.core.copies import CopyManager
 from repro.core.disciplines import (
     ActiveCopyDiscipline,
     DifferenceAggregateDiscipline,
+    PrivateAggregateDiscipline,
 )
 from repro.core.ladder import DifferenceLadder, LadderTier
 from repro.core.sketch_switching import SwitchingEstimator
@@ -201,6 +202,16 @@ def _cs_ring(stacked=True):
     )
 
 
+def _f2dp():
+    """Stacked CountSketch copies under the DP aggregate."""
+    return SwitchingEstimator(
+        factory=lambda r: CountSketch(64, 5, r, track_candidates=0),
+        copies=8, rng=np.random.default_rng(3),
+        band=MultiplicativeBand(0.9),
+        discipline=PrivateAggregateDiscipline(noise_scale=0.01),
+    )
+
+
 class TestMidChunkReseed:
     """A chunk prepared before a switch must not feed the reseeded copy
     with the burned copy's hash columns."""
@@ -222,10 +233,12 @@ class TestMidChunkReseed:
         assert self._chunked(_cs_ring()) == twin
 
     def test_universe_path_matches_bytes_path(self):
+        # The source-fed engine session memoizes hash columns across
+        # chunks; every reseeded plane must drop them.
         est = _cs_ring()
         src = self._source()
         with SerialEngine().session(est, source=src) as session:
-            assert session.source_mode == "universe"
+            assert session.source_mode.startswith("bytes:")
             session.feed_source(src)
         assert (est.query(), est.switches) == \
             self._chunked(_cs_ring(stacked=False))
@@ -256,6 +269,33 @@ class TestFailedSessionCleanup:
                 assert not victim.is_alive()
         assert mp.active_children() == []
         assert names and all(_segment_gone(n) for n in names)
+
+    @pytest.mark.parametrize("path", ["bytes", "spec"])
+    def test_dead_worker_fails_next_chunk(self, path):
+        """A killed worker fails the next chunk, not a later finalize."""
+        if path == "bytes":
+            est = repro.robust_estimator("distinct", n=4096, m=65536,
+                                         eps=0.25)
+            items = np.random.default_rng(0).integers(0, 4096, 8192)
+            session = ProcessEngine(workers=2).session(est)
+            feed = lambda: session.feed(items)
+        else:
+            src = GeneratorChunkSource("uniform", n=256, m=4 * 8192, seed=3,
+                                       chunk_size=8192)
+            session = ProcessEngine(workers=2).session(_f2dp(), source=src)
+            assert session.source_mode == "spec"
+            session._backend.broadcast_source(src.spec())
+            feed = lambda: session._protocol.feed_spec(src.chunk_size)
+        try:
+            feed()
+            victim = session._backend._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            with pytest.raises(EngineError):
+                feed()
+        finally:
+            session.close()
+        assert mp.active_children() == []
 
     def test_close_is_idempotent(self):
         switching = repro.robust_estimator(

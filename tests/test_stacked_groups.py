@@ -14,7 +14,8 @@ Layers under test:
   ``sign_many_stacked`` against their per-hash counterparts;
 * sketch level — each :class:`~repro.sketches.stacking.SketchStack`
   (CountMin, CountSketch, AMS) against per-object ``update_batch``,
-  including subrange preps, save/restore, install, and detach;
+  including dense and sparse chunks, subrange preps, save/restore,
+  install (which must drop memoized hash columns), and leaf steps;
 * manager level — stacking eligibility rules and the ndarray
   ``estimate_all`` contract;
 * protocol level (Hypothesis) — whole switching estimators, stacked vs
@@ -50,6 +51,7 @@ from repro.sketches.ams import AMSSketch
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.kmv import KMVSketch
+from repro.sketches.stacking import DENSE_CAP
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="process engine requires the fork start method"
@@ -129,6 +131,31 @@ def _state(sketch):
     return sketch._y
 
 
+def _candidates(sketch):
+    return list(getattr(sketch, "_candidates", ()))
+
+
+def _chunk(kind, rng, size, top):
+    """Items below ``top`` with some at ``DENSE_CAP`` and above (a
+    sparse chunk), or turnstile deltas with a zero-sum item."""
+    items = rng.integers(0, top, size=size).astype(np.int64)
+    if kind == "sparse":
+        items[::7] += DENSE_CAP
+        return items, None
+    deltas = rng.choice([-2, -1, 1, 2], size=size).astype(np.int64)
+    # Item top + 1 cancels to zero; it must stay in the chunk's support.
+    return (np.concatenate([items, [top + 1, top + 1]]),
+            np.concatenate([deltas, [3, -3]]))
+
+
+CHUNK_CASES = [
+    (kind, cls, args, kwargs)
+    for kind in ("sparse", "turnstile")
+    for cls, args, kwargs in STACKED_CASES
+    if kind == "sparse" or cls.supports_deletions
+]
+
+
 class TestSketchStacks:
     @pytest.mark.parametrize("cls,args,kwargs", STACKED_CASES)
     def test_feed_matches_update_batch(self, cls, args, kwargs):
@@ -141,6 +168,7 @@ class TestSketchStacks:
         for i in range(4):
             assert np.array_equal(_state(obj[i]), _state(stack.sketches[i]))
             assert obj[i].query() == stack.sketches[i].query()
+            assert _candidates(obj[i]) == _candidates(stack.sketches[i])
         assert np.array_equal(
             stack.query_all(),
             np.array([o.query() for o in obj], dtype=np.float64),
@@ -156,6 +184,27 @@ class TestSketchStacks:
         obj[3].update_batch(items)
         for i in range(4):
             assert np.array_equal(_state(obj[i]), _state(stack.sketches[i]))
+
+    @pytest.mark.parametrize("kind,cls,args,kwargs", CHUNK_CASES)
+    def test_sparse_and_turnstile_chunks(self, kind, cls, args, kwargs):
+        """Chunks off the dense path, or with zero-sum items, feed and
+        subset exactly as the object path does."""
+        rng = np.random.default_rng(13)
+        # Few enough distinct items that candidate tracking keeps them all.
+        items, deltas = _chunk(kind, rng, 1000, 12)
+        part = slice(117, 803)
+        sub = (items[part], None if deltas is None else deltas[part])
+        obj, stack = _twins(cls, args, 3, **kwargs)
+        full = stack.prepare(items, deltas)
+        stack.feed(full, range(3))
+        stack.feed(stack.subset(full, *sub), [0, 2])
+        for i, o in enumerate(obj):
+            o.update_batch(items, deltas)
+            if i != 1:
+                o.update_batch(*sub)
+        for i in range(3):
+            assert np.array_equal(_state(obj[i]), _state(stack.sketches[i]))
+            assert _candidates(obj[i]) == _candidates(stack.sketches[i])
 
     @pytest.mark.parametrize("cls,args,kwargs", STACKED_CASES)
     def test_subset_prep_matches_fresh_prepare(self, cls, args, kwargs):
@@ -191,18 +240,43 @@ class TestSketchStacks:
     def test_install_rebinding(self, cls, args, kwargs):
         rng = np.random.default_rng(11)
         items = rng.integers(0, 64, size=300).astype(np.int64)
-        _, stack = _twins(cls, args, 3, **kwargs)
+        # Mostly items the first chunk memoized, plus new ones.
+        later = rng.integers(0, 96, size=300).astype(np.int64)
+        obj, stack = _twins(cls, args, 3, **kwargs)
         stack.feed(stack.prepare(items, None), range(3))
         fresh = cls(*args, np.random.default_rng(999), **kwargs)
         stack.install(1, fresh)
         assert stack.sketches[1] is fresh
         assert np.shares_memory(_state(fresh), stack.tables
                                 if hasattr(stack, "tables") else stack.ys)
-        # Feeding through the stack reaches the installed copy's plane.
-        stack.feed(stack.prepare(items, None), [1])
-        twin = cls(*args, np.random.default_rng(999), **kwargs)
-        twin.update_batch(items)
-        assert np.array_equal(_state(fresh), _state(twin))
+        # Feeding through the stack reaches the installed copy's plane,
+        # hashed with the installed copy's own functions.
+        stack.feed(stack.prepare(later, None), range(3))
+        obj[1] = cls(*args, np.random.default_rng(999), **kwargs)
+        for i, o in enumerate(obj):
+            if i != 1:
+                o.update_batch(items)
+            o.update_batch(later)
+        for i in range(3):
+            assert np.array_equal(_state(obj[i]), _state(stack.sketches[i]))
+
+    @pytest.mark.parametrize("cls,args,kwargs", STACKED_CASES)
+    def test_step_matches_template_updates(self, cls, args, kwargs):
+        rng = np.random.default_rng(12)
+        items = rng.integers(0, 64, size=300).astype(np.int64)
+        obj, stack = _twins(cls, args, 4, **kwargs)
+        stack.feed(stack.prepare(items, None), range(4))
+        for o in obj:
+            o.update_batch(items)
+        # Memoized items, then one the memo has never seen.
+        for item, delta in [(int(items[0]), 1), (int(items[1]), 3),
+                            (int(items[0]), 2), (500, 1)]:
+            stack.step([0, 2, 3], item, delta)
+            for i in (0, 2, 3):
+                obj[i].update(item, delta)
+        for i in range(4):
+            assert np.array_equal(_state(obj[i]), _state(stack.sketches[i]))
+            assert _candidates(obj[i]) == _candidates(stack.sketches[i])
 
 
 # ----------------------------------------------------------------------
@@ -369,9 +443,9 @@ class TestStackedTwinEquivalence:
         t1 = _trace_engine(_cs_estimator(True), items, chunk, engine)
         t0 = _trace_engine(_cs_estimator(False), items, chunk, engine)
         assert t1 == t0
-        # Serial-engine agreement too: the workers ran the object path,
-        # so this pins the unstack-before-fork / restack-after-collect
-        # lifecycle.
+        # Serial-engine agreement too: the workers stack their shards
+        # anew and collect installs their copies back plane by plane,
+        # so this pins the shard / collect lifecycle.
         t2 = _trace_engine(_cs_estimator(True), items, chunk, SerialEngine())
         assert t1 == t2
 
